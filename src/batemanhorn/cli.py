@@ -130,8 +130,9 @@ def _build_parser() -> _Parser:
 
     def add_engine_opts(p):
         p.add_argument("--presieve", type=_int_arg, default=100_000,
-                       metavar="P0", help="pre-sieve prime bound (default "
-                       "1e5; 0 disables)")
+                       metavar="P0", help="upper limit on the pre-sieve prime "
+                       "bound; the engine lowers it to isqrt(max f(x)) + 1 "
+                       "(default 1e5; 0 disables)")
         p.add_argument("--segment-size", type=_int_arg, default=1 << 20,
                        metavar="S", help="sieve segment length, a power of "
                        "two (default 2^20)")

@@ -1,14 +1,15 @@
 """Exact counting of simultaneous prime values of a polynomial system.
 
-The engine counts n in [1, x] with every f_i(n) prime, in two phases:
-
-* direct phase, n <= n_star: every value is tested individually.  n_star is
-  the last n at which some f_i(n) <= presieve_bound, so beyond it a sieve
-  hit proves compositeness.
-* sieved phase, n in (n_star, x]: numpy segments mark n = r (mod p) for
-  every pre-sieve prime p and every root r of some f_i mod p; there
-  p | f_i(n) and f_i(n) > p, hence composite.  Survivors get a real
-  primality test per polynomial, short-circuiting on the first composite.
+The engine counts n in [1, x] with every f_i(n) prime.  One segment kernel
+marks n = r (mod p) for every pre-sieve prime p <= B and every root r of
+some f_i mod p.  Past n_star, the last n with some f_i(n) <= B, a mark means
+p divides f_i(n) > p, hence composite.  An unmarked value has no prime factor
+<= B (if f_i has no root mod p, p never divides f_i(n)), so 2 <= v < (B+1)^2
+proves it prime; only larger survivors get a real primality test,
+short-circuiting on the first composite.  The direct phase [1, n_star] is
+the same kernel with no roots and B = 0, so every value there is tested.
+B = min(presieve_bound, isqrt(max_i f_i(x)) + 1): a larger bound would mark
+no composite value that a smaller prime misses.
 
 Segments are independent work units, so the sieved phase can run on a
 process pool; results merge by ordered integer sums and are identical for
@@ -17,6 +18,7 @@ any worker count, segment size, or pre-sieve bound.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from bisect import bisect_right
@@ -27,10 +29,7 @@ import numpy as np
 
 from . import modular, primality
 from .errors import InadmissibleSystemError, RangeOverflowError
-from .poly import I128_MAX, Polynomial, PolySystem, evaluate, threshold_cutoff
-
-# Values at or below this bound are tested by sieve lookup, not Miller-Rabin.
-_LOOKUP_LIMIT = 1 << 22
+from .poly import I128_MAX, PolySystem, evaluate, threshold_cutoff
 
 
 @dataclass(frozen=True)
@@ -43,7 +42,7 @@ class CountResult:
 
 @dataclass(frozen=True)
 class EngineConfig:
-    presieve_bound: int = 100_000
+    presieve_bound: int = 100_000  # upper limit; count_series may lower it
     segment_size: int = 1 << 20
     workers: int | None = None  # None: BH_WORKERS env, then cpu count
 
@@ -90,8 +89,9 @@ def count_series(system: PolySystem, checkpoints: Sequence[int],
         raise ValueError("checkpoints must be ascending and >= 1")
     x = checkpoints[-1]
     t0 = time.perf_counter()
-    for f in system.polys:
-        evaluate(f, x)  # surface range overflow before any work happens
+    # evaluate also surfaces range overflow before any work happens
+    top = max(evaluate(f, x) for f in system.polys)
+    bound = min(config.presieve_bound, math.isqrt(max(0, top)) + 1)
 
     counts = [0] * len(checkpoints)
     elapsed = [0.0] * len(checkpoints)
@@ -112,21 +112,20 @@ def count_series(system: PolySystem, checkpoints: Sequence[int],
             progress(min(hi, x), running_total)
         return running_total
 
-    n_star = max(0, threshold_cutoff(system, config.presieve_bound))
-    direct_limit = min(n_star, x)
-    lookup = primality.simple_sieve(_LOOKUP_LIMIT) if direct_limit > 64 else None
-
-    qualified, probable = _count_direct(system.polys, 1, direct_limit, lookup)
-    total = absorb(0, direct_limit, qualified, probable, 0)
+    coeffs = tuple(f.coeffs for f in system.polys)
+    direct_limit = min(max(0, threshold_cutoff(system, bound)), x)
+    total = 0
+    for lo, hi in _chunk_bounds(1, direct_limit, config.segment_size):
+        qualified, probable = _process_chunk_state((coeffs, (), 0), (lo, hi))
+        total = absorb(lo - 1, hi, qualified, probable, total)
 
     if x > direct_limit:
-        presieve = _presieve_roots(system, config.presieve_bound)
+        state = (coeffs, _presieve_roots(system, bound), bound)
         chunks = list(_chunk_bounds(direct_limit + 1, x, config.segment_size))
         workers = resolve_workers(config)
         if workers > 1 and len(chunks) > 1:
-            results = _run_pool(system, presieve, chunks, workers)
+            results = _run_pool(state, chunks, workers)
         else:
-            state = (tuple(f.coeffs for f in system.polys), presieve)
             results = (_process_chunk_state(state, bounds) for bounds in chunks)
         for (lo, hi), (qualified, probable) in zip(chunks, results):
             total = absorb(lo - 1, hi, qualified, probable, total)
@@ -137,46 +136,22 @@ def count_series(system: PolySystem, checkpoints: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
-# Phases
+# Root table and segment kernel
 # ---------------------------------------------------------------------------
-
-def _count_direct(polys: Sequence[Polynomial], lo: int, hi: int,
-                  lookup) -> tuple[list[int], bool]:
-    """Individually test every n in [lo, hi]; returns (qualifying n, probable)."""
-    qualified = []
-    probable = False
-    for n in range(lo, hi + 1):
-        ok = True
-        for f in polys:
-            v = evaluate(f, n)
-            if v < 2:
-                ok = False
-                break
-            if v <= _LOOKUP_LIMIT and lookup is not None:
-                if not lookup[v]:
-                    ok = False
-                    break
-            else:
-                verdict = primality.classify(v)
-                probable = probable or verdict.certainty == primality.PROBABLE
-                if not verdict.prime:
-                    ok = False
-                    break
-        if ok:
-            qualified.append(n)
-    return qualified, probable
-
 
 def _presieve_roots(system: PolySystem,
                     bound: int) -> list[tuple[int, tuple[int, ...]]]:
-    """(p, merged roots of all f_i mod p) for every pre-sieve prime p."""
+    """(p, merged roots of all f_i mod p) for every pre-sieve prime p.
+
+    p is prime by construction, so list_roots' primality check is skipped.
+    """
     if bound < 2:
         return []
     table = []
     for p in primality.primes_up_to(bound):
         roots: set[int] = set()
         for f in system.polys:
-            roots.update(modular.list_roots(f, p).roots)
+            roots.update(modular._roots_of_reduced(modular._reduce(f, p), p))
         if roots:
             table.append((p, tuple(sorted(roots))))
     return table
@@ -192,8 +167,12 @@ def _chunk_bounds(start: int, stop: int,
 
 def _process_chunk_state(state, bounds: tuple[int, int]
                          ) -> tuple[list[int], bool]:
-    """Sieve one segment [lo, hi] and test survivors."""
-    coeffs_list, presieve = state
+    """Sieve one segment [lo, hi] and test survivor values >= (B+1)^2.
+
+    state is (coefficients, root table of every prime <= B, B).
+    """
+    coeffs_list, presieve, bound = state
+    proved = (bound + 1) ** 2
     lo, hi = bounds
     length = hi - lo + 1
     alive = np.ones(length, dtype=bool)
@@ -216,6 +195,8 @@ def _process_chunk_state(state, bounds: tuple[int, int]
             if v < 2:
                 ok = False
                 break
+            if v < proved:
+                continue
             verdict = primality.classify(v)
             probable = probable or verdict.certainty == primality.PROBABLE
             if not verdict.prime:
@@ -242,10 +223,9 @@ def _pool_task(bounds):
     return _process_chunk_state(_POOL_STATE, bounds)
 
 
-def _run_pool(system: PolySystem, presieve, chunks, workers: int):
+def _run_pool(state, chunks, workers: int):
     from concurrent.futures import ProcessPoolExecutor
 
-    state = (tuple(f.coeffs for f in system.polys), presieve)
     with ProcessPoolExecutor(max_workers=min(workers, len(chunks)),
                              initializer=_pool_init,
                              initargs=(state,)) as pool:

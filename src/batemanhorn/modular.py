@@ -18,7 +18,7 @@ from . import _gfpoly, primality
 from .errors import IdenticallyZeroError, NotPrimeError
 from .poly import Polynomial
 
-_BRUTE_FORCE_LIMIT = 65536
+_BRUTE_FORCE_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ def list_roots(f: Polynomial, p: int) -> RootSet:
 
     Degrees 1 and 2 are solved by formula at every p (inverse, respectively
     Tonelli-Shanks on the discriminant).  Higher degrees brute-force the
-    residues for p <= 65536 and use equal-degree splitting of
+    residues for p <= 4096 and use equal-degree splitting of
     gcd(x^p - x, f) above that.
     """
     _require_prime(p)

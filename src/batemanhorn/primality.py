@@ -2,10 +2,11 @@
 
 primes_up_to streams a segmented sieve of Eratosthenes (numpy masks, fixed
 power-of-two segments).  Single-number testing is deterministic Miller-Rabin
-with the 12-witness set {2,...,37} below 2^64 and Baillie-PSW (strong base-2
-Miller-Rabin plus a strong Lucas test with Selfridge parameters) above, where
-prime verdicts are tagged 'probable'.  Composite verdicts are always certain:
-a failed Miller-Rabin round or a found factor is a proof.
+below 2^64, with the first 1 to 12 primes as witnesses by size, and
+Baillie-PSW (strong base-2 Miller-Rabin plus a strong Lucas test with
+Selfridge parameters) above, where prime verdicts are tagged 'probable'.
+Composite verdicts are always certain: a failed Miller-Rabin round or a
+found factor is a proof.
 """
 
 from __future__ import annotations
@@ -26,6 +27,20 @@ SIEVE_LIMIT_MAX = 1 << 40
 DEFAULT_SEGMENT_SIZE = 1 << 20
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# (psi_k, k): psi_k is the smallest strong pseudoprime to the first k prime
+# bases, so those bases decide every v < psi_k.  psi_8 = psi_7.
+_MR_TIERS = (
+    (2047, 1),                 # Pomerance, Selfridge, Wagstaff,
+    (1373653, 2),              # Math. Comp. 35 (1980)
+    (25326001, 3),
+    (3215031751, 4),           # Jaeschke, Math. Comp. 61 (1993)
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),  # Jiang, Deng, Math. Comp. 83 (2014)
+    (U64, 12),                 # Sorenson, Webster, Math. Comp. 86 (2017)
+)
 
 
 class PrimalityResult(NamedTuple):
@@ -187,19 +202,21 @@ def classify(v: int) -> PrimalityResult:
     """Primality verdict with a certainty tag.
 
     Below 2^64 the verdict is deterministic (proven Miller-Rabin witness
-    set).  At or above 2^64 a prime verdict comes from Baillie-PSW and is
-    tagged 'probable'; no counterexample to that test is known.
+    sets, tiered by size).  At or above 2^64 a prime verdict comes from
+    Baillie-PSW and is tagged 'probable'; no counterexample is known.
     """
     v = int(v)
     if v < 2:
         return PrimalityResult(False, DETERMINISTIC)
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if v == p:
             return PrimalityResult(True, DETERMINISTIC)
         if v % p == 0:
             return PrimalityResult(False, DETERMINISTIC)
     if v < U64:
-        return PrimalityResult(_miller_rabin(v, _MR_WITNESSES), DETERMINISTIC)
+        k = next(k for psi, k in _MR_TIERS if v < psi)
+        return PrimalityResult(_miller_rabin(v, _MR_WITNESSES[:k]),
+                               DETERMINISTIC)
     for p in _TRIAL_PRIMES:
         if v % p == 0:
             return PrimalityResult(False, DETERMINISTIC)

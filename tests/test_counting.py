@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -18,7 +19,9 @@ from batemanhorn import (
     list_roots,
     parse_polynomial,
     primes_up_to,
+    threshold_cutoff,
 )
+from batemanhorn import primality
 
 CORPUS = (("n", "2*n+1"), ("6*n^2+1",), ("n", "n+2"), ("n^2+1",),
           ("2*n^2+3",))
@@ -54,6 +57,10 @@ def counts(s, checkpoints, config=SERIAL):
 def test_sophie_germain_reference_counts():
     assert counts(system("n", "2*n+1"), [10**2, 10**3, 10**4, 10**5]) == \
         [10, 37, 190, 1171]
+
+
+def test_sophie_germain_to_1e8():
+    assert counts(system("n", "2*n+1"), [10**8]) == [423140]
 
 
 def test_6n2_reference_counts():
@@ -93,6 +100,18 @@ def test_partition_and_presieve_invariance():
             cfg = EngineConfig(workers=1, segment_size=segment_size,
                                presieve_bound=presieve)
             assert counts(s, cps, cfg) == reference, (segment_size, presieve)
+
+
+@pytest.mark.parametrize("texts,x,expected", [(("n", "2*n+1"), 10**6, 7746),
+                                              (("6*n^2+1",), 10**5, 9445)])
+def test_presieve_bound_and_worker_invariance(texts, x, expected):
+    s = system(*texts)
+    root = math.isqrt(max(evaluate(f, x) for f in s.polys))
+    for presieve in (0, 2, 97, root, root + 1, 10**5):
+        for workers in (1, 2):
+            cfg = EngineConfig(workers=workers, segment_size=2**17,
+                               presieve_bound=presieve)
+            assert counts(s, [x], cfg) == [expected], (presieve, workers)
 
 
 def test_worker_invariance():
@@ -154,6 +173,32 @@ def test_presieve_rejections_are_composite():
                 witnessed = True
                 assert not is_prime(v) or v == p
         assert witnessed, (n, p)
+
+
+@pytest.mark.parametrize("segment_size", [4, 2**20])
+def test_proof_bound_is_strict(segment_size):
+    # B = 10: 121 = 11^2 survives the sieve, so only a real test rejects it
+    cfg = EngineConfig(workers=1, presieve_bound=10,
+                       segment_size=segment_size)
+    assert counts(system("n"), [5, 200], cfg) == [3, 46]
+
+
+def test_classify_never_called_beyond_n_star(monkeypatch):
+    s = system("n", "2*n+1")
+    x = 10**6
+    bound = math.isqrt(2 * x + 1) + 1   # effective bound below the default
+    n_star = threshold_cutoff(s, bound)
+    seen = []
+    classify = primality.classify
+
+    def counting_classify(v):
+        seen.append(v)
+        return classify(v)
+
+    monkeypatch.setattr(primality, "classify", counting_classify)
+    assert counts(s, [x]) == [7746]
+    assert seen
+    assert max(seen) <= 2 * n_star + 1
 
 
 # ---------------------------------------------------------------------------

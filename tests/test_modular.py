@@ -194,6 +194,24 @@ def test_list_roots_trivial_example():
     assert list_roots(parse_polynomial("2*n+1"), 7).roots == (3,)
 
 
+@pytest.mark.parametrize("text", ["n^3+2", "n^3-3*n+1", "n^4+3*n+7"])
+def test_list_roots_brute_force_around_4096(text):
+    # primes on both sides of the switch from residue scan to splitting
+    f = parse_polynomial(text)
+    primes = [int(q) for q in np.flatnonzero(simple_sieve(4400))
+              if q >= 3800]
+    split = 0
+    for p in primes:
+        n = np.arange(p, dtype=np.int64)
+        acc = np.zeros(p, dtype=np.int64)
+        for c in reversed(f.coeffs):
+            acc = (acc * n + c) % p
+        expected = tuple(int(r) for r in np.flatnonzero(acc == 0))
+        assert list_roots(f, p).roots == expected, p
+        split += len(expected) >= 2
+    assert split > 0
+
+
 def test_union_bound_on_products():
     rng = random.Random(31)
     for _ in range(60):

@@ -14,6 +14,7 @@ from batemanhorn import (
     sieve_segments,
     simple_sieve,
 )
+from batemanhorn.primality import _miller_rabin
 
 
 def independent_odd_sieve(limit: int) -> list[int]:
@@ -122,6 +123,36 @@ def test_probable_tags_above_2_64():
     assert classify(8589934583 * 8589934609) == (False, DETERMINISTIC)
     # perfect squares cannot fool the Lucas stage
     assert classify((2**64 + 13)**2) == (False, DETERMINISTIC)
+
+
+# (psi_k, k): smallest strong pseudoprime to the first k prime bases.
+WITNESS_TIER_EDGES = (
+    (2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4),
+    (2152302898747, 5), (3474749660383, 6), (341550071728321, 7),
+    (3825123056546413051, 9),
+)
+FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+@pytest.mark.parametrize("psi,k", WITNESS_TIER_EDGES)
+def test_witness_tier_edges(psi, k):
+    # psi_k fools the first k bases, so its own tier must not decide it
+    assert _miller_rabin(psi, FIRST_PRIMES[:k])
+    assert classify(psi) == (False, DETERMINISTIC)
+
+
+def test_classify_against_sympy_in_every_tier():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2017)
+    edges = [0] + [psi for psi, _ in WITNESS_TIER_EDGES] + [2**64, 2**80]
+    for lo, hi in zip(edges, edges[1:]):
+        for _ in range(200):
+            v = rng.randrange(lo, hi)
+            for w in (v, sympy.prevprime(max(v, 3))):
+                got = classify(w)
+                assert got.prime == sympy.isprime(w), w
+                if w < 2**64 or not got.prime:
+                    assert got.certainty == DETERMINISTIC, w
 
 
 def test_large_mersenne_values():
