@@ -8,6 +8,8 @@ Everything is O(d^2) per multiplication, fine for the small degrees used here.
 
 from __future__ import annotations
 
+from . import primality
+
 
 def trim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
@@ -101,20 +103,6 @@ def deriv(a: list[int], p: int) -> list[int]:
     return trim(out)
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def is_irreducible(f: list[int], p: int) -> bool:
     """Irreducibility of f over GF(p) (Rabin's test).
 
@@ -129,7 +117,7 @@ def is_irreducible(f: list[int], p: int) -> bool:
         return True
     if gf_squarefree_fails(f, p):
         return False
-    for q in _prime_factors(d):
+    for q in primality.factorize(d):
         h = _x_frobenius_power(d // q, f, p)
         h_minus_x = _sub_x(h, p)
         if degree(gcd(h_minus_x, f, p)) > 0:

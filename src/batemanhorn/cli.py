@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from fractions import Fraction
 
 from . import constants, counting, quadrature
 from .counting import CountResult, EngineConfig
@@ -71,16 +72,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_arg(text: str) -> int:
-    """Integer CLI argument; scientific notation like 1e6 is accepted."""
+    """Integer CLI argument; scientific notation like 1e6 is accepted and
+    read exactly, with no rounding through float."""
+    exponent = text.lower().partition("e")[2].strip() or "0"
     try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        v = float(text)
+        # Fraction builds 10**exponent, so a huge exponent would stall;
+        # like float, reject anything past 1e308.
+        if "/" in text or abs(int(exponent)) > 308:
+            raise ValueError(text)
+        v = Fraction(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not v.is_integer():
+    if v.denominator != 1:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     return int(v)
 

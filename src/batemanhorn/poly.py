@@ -27,7 +27,7 @@ from .errors import (
     PolynomialSyntaxError,
     RangeOverflowError,
 )
-from . import _gfpoly
+from . import _gfpoly, primality
 
 I64_MAX = 2**63 - 1
 I128_MAX = 2**127 - 1
@@ -353,7 +353,7 @@ def _inadmissibility_witness(product: Polynomial) -> int | None:
     d = product.degree
     p = 2
     while p <= d:
-        if _is_small_prime(p):
+        if primality.is_prime(p):
             residues = [c % p for c in product.coeffs]
             if all(_eval_exact(residues, n) % p == 0 for n in range(p)):
                 return p
@@ -362,18 +362,8 @@ def _inadmissibility_witness(product: Polynomial) -> int | None:
     for c in product.coeffs:
         content = math.gcd(content, c)
     if content > 1:
-        from . import primality
-        return primality.smallest_prime_factor(content)
+        return min(primality.factorize(content))
     return None
-
-
-def _is_small_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    for q in range(2, math.isqrt(p) + 1):
-        if p % q == 0:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -411,46 +401,103 @@ def irreducibility_evidence(f: Polynomial) -> str:
 
 
 def _rational_root(f: Polynomial) -> tuple[int, int] | None:
-    """Find a rational root p/q (q > 0, gcd(p,q)=1) or None."""
-    c0 = f.coeffs[0]
-    if c0 == 0:
-        return (0, 1)
-    from . import primality
-    nums = primality.divisors(abs(c0), cap=20000)
-    dens = primality.divisors(f.leading_coefficient, cap=20000)
-    if nums is None or dens is None:
-        # Constant/leading coefficient too composite to enumerate; fall back
-        # to float root candidates confirmed exactly.
-        return _rational_root_from_float(f)
-    for q in dens:
-        for p in nums:
-            if math.gcd(p, q) != 1:
-                continue
-            for s in (p, -p):
-                # q^d * f(s/q) = sum c_k s^k q^(d-k), exact integers
-                if _scaled_value(f.coeffs, s, q) == 0:
-                    return (s, q)
+    """Find a rational root p/q (q > 0, gcd(p,q)=1) or None.
+
+    A rational root r of f is y/a for an integer root y of a^d f(y/a),
+    a the leading coefficient; integer roots are found among root floors.
+    """
+    a = f.leading_coefficient
+    scaled = _scale_roots(f.coeffs, a)
+    for y in real_root_floors(scaled):
+        if _eval_exact(scaled, y) == 0:
+            g = math.gcd(y, a)
+            return (y // g, a // g)
     return None
 
 
-def _scaled_value(coeffs: Sequence[int], p: int, q: int) -> int:
+# ---------------------------------------------------------------------------
+# Exact real roots: Sturm chains and integer bisection
+# ---------------------------------------------------------------------------
+
+def _scale_roots(coeffs: Sequence[int], k: int) -> list[int]:
+    """Coefficients of k^d f(y/k), whose roots are k times those of f."""
     d = len(coeffs) - 1
-    return sum(c * p**k * q**(d - k) for k, c in enumerate(coeffs))
+    return [c * k**(d - i) for i, c in enumerate(coeffs)]
 
 
-def _rational_root_from_float(f: Polynomial) -> tuple[int, int] | None:
-    import numpy as np
-    roots = np.roots(list(reversed(f.coeffs)))
-    candidates = [r.real for r in roots if abs(r.imag) < 1e-6]
-    dens = [q for q in range(1, min(abs(f.leading_coefficient), 64) + 1)
-            if f.leading_coefficient % q == 0]
-    for r in candidates:
-        for q in dens:
-            base = round(r * q)
-            for p in range(base - 2, base + 3):
-                if math.gcd(p, q) == 1 and _scaled_value(f.coeffs, p, q) == 0:
-                    return (p, q)
-    return None
+def _pseudo_divmod(a: Sequence[int], b: Sequence[int]
+                   ) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b, both times one positive integer,
+    so the arithmetic stays in integers and every sign is kept."""
+    lead, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    quo, rem = [], list(a)
+    while len(rem) >= len(b):
+        top = sign * rem.pop()
+        quo = [top] + [lead * c for c in quo]
+        rem = [lead * c for c in rem]
+        for i, c in enumerate(b[:-1]):
+            rem[len(rem) - len(b) + 1 + i] -= top * c
+    return quo, rem
+
+
+def _primitive(coeffs: Sequence[int]) -> list[int]:
+    g = math.gcd(*coeffs)
+    return [c // g for c in coeffs]
+
+
+def _sturm_chain(coeffs: Sequence[int]) -> list[list[int]]:
+    """Sturm chain of the squarefree part of a nonconstant polynomial.
+
+    The plain chain f, f', -rem, ... ends in g = gcd(f, f'), and every
+    member is divided by g.  Without that division every member vanishes
+    at a repeated root, and a bisection point landing there miscounts.
+    """
+    chain = [list(coeffs), [k * c for k, c in enumerate(coeffs)][1:]]
+    while len(chain[-1]) > 1:
+        rem = _trim(_pseudo_divmod(chain[-2], chain[-1])[1])
+        if not any(rem):
+            break
+        chain.append(_primitive([-c for c in rem]))
+    return [_primitive(_pseudo_divmod(p, chain[-1])[0]) for p in chain]
+
+
+def _sign_changes(chain: Sequence[Sequence[int]], t: int) -> int:
+    signs = [v > 0 for v in (_eval_exact(p, t) for p in chain) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def real_root_floors(coeffs: Sequence[int]) -> list[int]:
+    """Ascending floors of the distinct real roots of an integer polynomial
+    (ascending coefficients, degree >= 1, leading coefficient > 0).
+
+    With V(t) the sign changes of the Sturm chain at t, V(a) - V(b) counts
+    the distinct roots in (a, b].  Integer bisection of (-B, B], B the
+    Cauchy bound, narrows every root to a unit interval.
+    """
+    chain = _sturm_chain(coeffs)
+    bound = _cauchy_bound(coeffs)
+    floors: set[int] = set()
+    stack = [(-bound, bound)]
+    while stack:
+        lo, hi = stack.pop()
+        roots = _sign_changes(chain, lo) - _sign_changes(chain, hi)
+        if roots and hi - lo > 1:
+            stack += [(lo, (lo + hi) // 2), ((lo + hi) // 2, hi)]
+        elif roots:
+            if _eval_exact(chain[0], hi) == 0:  # at most one root is hi
+                floors.add(hi)
+                roots -= 1
+            if roots:
+                floors.add(lo)
+    return sorted(floors)
+
+
+def count_roots_between(coeffs: Sequence[int], lo: int, hi: float) -> int:
+    """Number of distinct real roots of a nonconstant integer polynomial in
+    (lo, hi] for an integer lo; hi is taken at its exact binary value."""
+    num, den = hi.as_integer_ratio()
+    chain = _sturm_chain(_scale_roots(coeffs, den))
+    return _sign_changes(chain, lo * den) - _sign_changes(chain, num)
 
 
 # ---------------------------------------------------------------------------
@@ -467,71 +514,19 @@ def _cauchy_bound(coeffs: Sequence[int]) -> int:
 def _threshold_cutoff(polys: Sequence[Polynomial], threshold: int) -> int:
     """Largest integer n with f(n) <= threshold for some f in the system.
 
-    Past this point every polynomial exceeds the threshold.  When no
-    polynomial ever dips to the threshold the scan floor -max(ceil(B_i)) is
-    returned, B_i the Cauchy bound of f_i - threshold.
+    Past this point every polynomial exceeds the threshold.  For g = f -
+    threshold, if g(n) <= 0 < g(n+1) then g has a root in [n, n+1), so the
+    answer is the largest root floor m with g(m) <= 0.  When no polynomial
+    ever dips to the threshold the floor -max(ceil(B_i)) is returned, B_i
+    the Cauchy bound of f_i - threshold.
     """
-    best: int | None = None
-    floors = []
+    hits, bounds = [], []
     for f in polys:
-        shifted = list(f.coeffs)
-        shifted[0] -= threshold
-        bound = _cauchy_bound(shifted)
-        floors.append(bound)
-        hit = _largest_at_most(f.coeffs, threshold, bound)
-        if hit is not None and (best is None or hit > best):
-            best = hit
-    if best is not None:
-        return best
-    return -max(floors)
-
-
-def _largest_at_most(coeffs: Sequence[int], threshold: int, bound: int,
-                     scan_budget: int = 100_000) -> int | None:
-    """Largest integer n with f(n) <= threshold, or None if there is none.
-
-    Degrees 1 and 2 are solved in closed form with integer arithmetic.
-    Higher degrees scan down from the Cauchy bound and fall back to
-    float-located roots confirmed exactly when the scan budget runs out.
-    """
-    d = len(coeffs) - 1
-    if d == 1:
-        b, a = coeffs
-        return (threshold - b) // a
-    if d == 2:
-        c, b, a = coeffs
-        disc = b * b - 4 * a * (c - threshold)
-        if disc < 0:
-            return None
-        s = math.isqrt(disc)
-        k0 = (-b + s) // (2 * a)
-        for k in (k0 + 1, k0):
-            if _eval_exact(coeffs, k) <= threshold:
-                return k
-        return None
-    n = bound
-    lo = -bound
-    steps = 0
-    while n >= lo and steps < scan_budget:
-        if _eval_exact(coeffs, n) <= threshold:
-            return n
-        n -= 1
-        steps += 1
-    if n < lo:
-        return None
-    # Scan budget exhausted: locate the largest real crossing numerically
-    # and confirm with exact integer evaluation.
-    import numpy as np
-    shifted = list(coeffs)
-    shifted[0] -= threshold
-    roots = np.roots(list(reversed(shifted)))
-    reals = sorted(r.real for r in roots if abs(r.imag) < 1e-6)
-    for r in reversed(reals):
-        base = math.floor(r)
-        for k in range(base + 2, base - 3, -1):
-            if _eval_exact(coeffs, k) <= threshold:
-                return k
-    return None
+        shifted = [f.coeffs[0] - threshold, *f.coeffs[1:]]
+        bounds.append(_cauchy_bound(shifted))
+        hits += [m for m in real_root_floors(shifted)
+                 if _eval_exact(shifted, m) <= 0]
+    return max(hits, default=-max(bounds))
 
 
 def threshold_cutoff(system: PolySystem, threshold: int) -> int:

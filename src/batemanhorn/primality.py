@@ -232,7 +232,7 @@ def is_prime(v: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Small factoring helpers (admissibility witnesses, rational root candidates)
+# Factoring (admissibility witnesses, GF(p) irreducibility tests)
 # ---------------------------------------------------------------------------
 
 def _pollard_rho(n: int) -> int:
@@ -270,17 +270,3 @@ def factorize(n: int) -> dict[int, int]:
         d = _pollard_rho(m)
         stack.extend((d, m // d))
     return out
-
-
-def smallest_prime_factor(n: int) -> int:
-    return min(factorize(n))
-
-
-def divisors(n: int, cap: int = 20000) -> list[int] | None:
-    """Sorted positive divisors of n, or None if there are more than cap."""
-    ds = [1]
-    for p, e in factorize(n).items():
-        ds = [d * p**k for d in ds for k in range(e + 1)]
-        if len(ds) > cap:
-            return None
-    return sorted(ds)

@@ -4,7 +4,9 @@ integrate_modified evaluates the exact-logarithm integral
 int dt / prod_i log f_i(t) from L = n0 + 1 up to x; integrate_original the
 asymptotic surrogate int_2^x dt / (log t)^M.  The n0 + 1 lower bound avoids
 the log f = 0 singularity at n0 itself and reproduces both published
-comparison tables; see the README note on integration bounds.
+comparison tables; see the README note on integration bounds.  Before
+integrating, a real point in [n0 + 1, x] where some f_i reaches 1 is found
+exactly (poly.count_roots_between) and raises SingularIntegrandError.
 
 Acceptance per subinterval is |S2 - S1| <= 15 * max(tol, tol * |S2|), i.e.
 absolute or relative tolerance, whichever is reached first; the absolute
@@ -21,7 +23,7 @@ from typing import Sequence
 from .counting import CountResult
 from .errors import SingularIntegrandError, ToleranceNotMetError
 from .constants import EulerProductResult
-from .poly import PolySystem
+from .poly import PolySystem, count_roots_between
 
 _DEPTH_CAP = 60
 DEFAULT_TOL = 1e-9
@@ -44,6 +46,19 @@ def _poly_at(coeffs: Sequence[int], t: float) -> float:
     for c in reversed(coeffs):
         acc = acc * t + c
     return acc
+
+
+def _check_no_dip(system: PolySystem, x: float) -> None:
+    """Raise SingularIntegrandError when some f_i reaches 1 at a real point
+    in [n0 + 1, x].  Every f_i exceeds 1 at the integer n0 + 1, so that is
+    a root of f_i - 1 in (n0 + 1, x], decided exactly."""
+    lower = system.n0 + 1
+    for f in system.polys:
+        shifted = [f.coeffs[0] - 1, *f.coeffs[1:]]
+        if count_roots_between(shifted, lower, float(x)) > 0:
+            raise SingularIntegrandError(
+                f"{f} reaches 1 at a real point in [{lower}, {x}]; the "
+                f"integrand is singular inside the requested interval")
 
 
 def _modified_integrand(system: PolySystem):
@@ -72,6 +87,7 @@ def integrate_modified(system: PolySystem, x: float,
         raise ValueError(f"x={x} is below the integral lower bound {lower}")
     if x == lower:
         return 0.0
+    _check_no_dip(system, x)
     return _adaptive_simpson(_modified_integrand(system), float(lower),
                              float(x), tol)
 
@@ -108,6 +124,7 @@ def predict(system: PolySystem, checkpoints: Sequence[int],
     prev_mod = lower_mod
     prev_orig = 2.0
     rows = []
+    _check_no_dip(system, max(checkpoints, default=system.n0 + 1))
     g_mod = _modified_integrand(system)
     m = system.m
     for j, x in enumerate(checkpoints):

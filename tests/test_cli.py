@@ -197,8 +197,21 @@ def test_usage_errors_exit_4(capsys):
     assert run_main(capsys, "nope")[0] == 4                   # bad command
     assert run_main(capsys)[0] == 4                           # no command
     assert run_main(capsys, "count", "--poly", "n", "--x", "1.5")[0] == 4
+    for x in ("1e-3", "6/2", "inf", "1e999999999", "1e-999999999"):
+        assert run_main(capsys, "count", "--poly", "n", "--x", x)[0] == 4, x
     assert run_main(capsys, "count", "--poly", "n", "--x", "100",
                     "--segment-size", "1000")[0] == 4
+
+
+@pytest.mark.parametrize("text,value", [
+    ("1e6", 10**6),
+    ("2.5e1", 25),
+    ("9007199254740993e0", 9007199254740993),      # 2^53 + 1, odd
+    ("123456789012345678.0", 123456789012345678),
+    ("1.000000000000000001e18", 10**18 + 1),
+])
+def test_int_arg_is_exact(text, value):
+    assert cli._int_arg(text) == value
 
 
 def test_syntax_error_exit_2(capsys):

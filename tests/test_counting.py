@@ -102,8 +102,12 @@ def test_partition_and_presieve_invariance():
             assert counts(s, cps, cfg) == reference, (segment_size, presieve)
 
 
-@pytest.mark.parametrize("texts,x,expected", [(("n", "2*n+1"), 10**6, 7746),
-                                              (("6*n^2+1",), 10**5, 9445)])
+@pytest.mark.parametrize("texts,x,expected", [
+    (("n", "2*n+1"), 10**6, 7746),
+    (("6*n^2+1",), 10**5, 9445),
+    # dips to the prime 97 at n = 2000, past the old scan's reach
+    (("(n-2000)^2*(n+2)+97",), 2010, 47),
+])
 def test_presieve_bound_and_worker_invariance(texts, x, expected):
     s = system(*texts)
     root = math.isqrt(max(evaluate(f, x) for f in s.polys))

@@ -1,5 +1,7 @@
 import math
 import random
+import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -19,7 +21,13 @@ from batemanhorn import (
     parse_polynomial,
     threshold_cutoff,
 )
-from batemanhorn.poly import I64_MAX, _eval_exact
+from batemanhorn.poly import (
+    I64_MAX,
+    _cauchy_bound,
+    _eval_exact,
+    _threshold_cutoff,
+    count_roots_between,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +271,10 @@ def test_n0_values():
     s = build_system([parse_polynomial("25*n^2-25*n+7")])
     assert s.n0 == -2
     _check_n0_property(s)
+    # a near-double root far out: f = 1 at n = 1000 only
+    s = build_system([parse_polynomial("(n-1000)^2*(n+1)+1")])
+    assert s.n0 == 1000
+    _check_n0_property(s)
 
 
 def test_n0_random_systems():
@@ -278,6 +290,58 @@ def test_n0_random_systems():
             continue
         _check_n0_property(s)
         checked += 1
+
+
+def _random_split_polynomial(rng):
+    """k * prod (n - r_i) + shift: repeated, near-repeated and shifted
+    integer roots, degree 1-6."""
+    coeffs = [1]
+    for _ in range(rng.randint(1, 6)):
+        r = rng.randint(-6, 6)
+        coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    k = rng.randint(1, 3)
+    coeffs = [k * c for c in coeffs]
+    coeffs[0] += rng.randint(-4, 4)
+    return Polynomial(tuple(coeffs))
+
+
+def test_threshold_cutoff_matches_brute_force():
+    rng = random.Random(31)
+    for _ in range(200):
+        f = _random_split_polynomial(rng)
+        for t in range(-3, 11):
+            shifted = list(f.coeffs)
+            shifted[0] -= t
+            bound = _cauchy_bound(shifted)
+            hits = [n for n in range(-bound, bound + 1)
+                    if _eval_exact(f.coeffs, n) <= t]
+            expected = hits[-1] if hits else -bound
+            assert _threshold_cutoff([f], t) == expected, (f.coeffs, t)
+
+
+def test_exact_roots_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    n = sympy.Symbol("n")
+    rng = random.Random(32)
+    for _ in range(150):
+        f = _random_split_polynomial(rng)
+        expr = sympy.Poly(list(reversed(f.coeffs)), n)
+        lo = rng.randint(-8, 8)
+        hi = lo + Fraction(rng.randint(0, 40), 8)
+        assert count_roots_between(f.coeffs, lo, hi) == \
+            expr.count_roots(lo, sympy.Rational(hi)) - \
+            expr.count_roots(lo, lo), (f.coeffs, lo, hi)
+        if f.degree < 2:
+            continue
+        linear = any(g.degree() == 1 for g, _ in expr.factor_list()[1])
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                irreducibility_evidence(f)
+            raised = False
+        except IrreducibilityError:
+            raised = True
+        assert raised == linear, f.coeffs
 
 
 def test_threshold_cutoff():
@@ -313,6 +377,8 @@ def test_irreducibility_heuristic_warns():
 
 
 def test_irreducibility_rational_roots_fail_hard():
-    for text in ["n^2-4", "n^3-n^2-4*n+4", "4*n^2-1", "n^5-32"]:
+    for text in ["n^2-4", "n^3-n^2-4*n+4", "4*n^2-1", "n^5-32",
+                 # root 1/a, a with far more than 20000 divisors
+                 "(897612484786617600*n-1)*(n^2+1)"]:
         with pytest.raises(IrreducibilityError):
             irreducibility_evidence(parse_polynomial(text))

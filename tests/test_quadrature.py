@@ -140,13 +140,22 @@ def test_modified_over_original_ratio_at_1e10():
 
 
 def test_singular_integrand_detected():
-    # 25n^2 - 25n + 7 dips to 0.75 at t = 1/2 while every integer value
-    # is >= 7; its n0 is the clamp floor -2, so the interval [-1, 2]
-    # crosses the dip and the integrand check must fire.
-    s = system("25*n^2-25*n+7")
-    assert s.n0 == -2
-    with pytest.raises(SingularIntegrandError):
-        integrate_modified(s, 2)
+    for text, x in [
+        # 25n^2 - 25n + 7 dips to 0.75 at t = 1/2 while every integer
+        # value is >= 7; its n0 is the clamp floor -2, so the interval
+        # [-1, 2] crosses the dip and the check must fire.
+        ("25*n^2-25*n+7", 2),
+        # below 1 only on (1/2 - 1e-6, 1/2 + 1e-6)
+        ("2000000000000*n^2-2000000000000*n+499999999999", 10),
+        # touches 1 at t = 1/2 and never goes below
+        ("400000000*n^2-400000000*n+100000001", 1000),
+    ]:
+        s = system(text)
+        assert s.n0 == -2
+        with pytest.raises(SingularIntegrandError):
+            integrate_modified(s, x)
+        with pytest.raises(SingularIntegrandError):
+            predict(s, [x], bh_constant_naive(s, 100))
 
 
 # ---------------------------------------------------------------------------
