@@ -4,10 +4,10 @@ simultaneous prime values for systems of integer polynomials.
 Quick start::
 
     from batemanhorn import (parse_polynomial, build_system,
-                             bh_constant_naive, count_series, predict)
+                             bh_constant, count_series, predict)
 
     system = build_system([parse_polynomial("n"), parse_polynomial("2*n+1")])
-    c = bh_constant_naive(system, 10**6)          # ~1.320324 (= 2 * C_2)
+    c = bh_constant(system, 10**6)                # ~1.320324 (= 2 * C_2)
     actuals = count_series(system, [10**2, 10**3, 10**4])
     rows = predict(system, [10**2, 10**3, 10**4], c, actuals)
 """
@@ -16,6 +16,7 @@ from .constants import (
     ACCELERATED,
     NAIVE,
     EulerProductResult,
+    bh_constant,
     bh_constant_accelerated,
     bh_constant_naive,
     discriminant,
@@ -87,7 +88,7 @@ __all__ = [
     "irreducibility_evidence", "threshold_cutoff",
     "kronecker", "count_roots", "list_roots", "sqrt_mod",
     "primes_up_to", "sieve_segments", "simple_sieve", "is_prime", "classify",
-    "bh_constant_naive", "bh_constant_accelerated",
+    "bh_constant", "bh_constant_naive", "bh_constant_accelerated",
     "l_value_negative_fundamental", "discriminant",
     "is_fundamental_discriminant",
     "count_simultaneous_primes", "count_series",

@@ -129,7 +129,9 @@ def _build_parser() -> _Parser:
                        default="auto",
                        help="product mode; auto uses the L-accelerated form "
                             "for a single quadratic with negative "
-                            "fundamental discriminant")
+                            "fundamental discriminant D and |D| <= P; "
+                            "quadratic forces it, and its L-value costs "
+                            "O(|D|)")
 
     def add_engine_opts(p):
         p.add_argument("--presieve", type=_int_arg, default=100_000,
@@ -159,8 +161,8 @@ def _build_parser() -> _Parser:
     add_polys(p)
     p.add_argument("--x", type=_int_arg, required=True, metavar="X")
     p.add_argument("--checkpoints", type=_checkpoints_arg, default=None,
-                   metavar="LIST", help="comma-separated checkpoint list "
-                   "(default: decades up to x)")
+                   metavar="LIST", help="comma-separated checkpoint list, "
+                   "none above x (default: decades up to x)")
     add_engine_opts(p)
     add_format_opt(p)
     p.set_defaults(func=cmd_count)
@@ -220,13 +222,7 @@ def _constant_for(system: PolySystem, mode: str,
             raise BatemanHornError(
                 "quadratic acceleration needs a single polynomial")
         return constants.bh_constant_accelerated(system.polys[0], truncation)
-    # auto
-    if system.m == 1 and system.polys[0].degree == 2:
-        f = system.polys[0]
-        d = constants.discriminant(f)
-        if d < 0 and constants.is_fundamental_discriminant(d):
-            return constants.bh_constant_accelerated(f, truncation)
-    return constants.bh_constant_naive(system, truncation)
+    return constants.bh_constant(system, truncation)
 
 
 def _engine_config(args) -> EngineConfig:
@@ -306,6 +302,8 @@ def _checkpoints_from_args(args) -> list[int]:
         cps = args.checkpoints
         if any(a >= b for a, b in zip(cps, cps[1:])):
             raise ValueError("checkpoints must be strictly ascending")
+        if cps[-1] > args.x:
+            raise ValueError(f"checkpoint {cps[-1]} exceeds --x {args.x}")
         return cps
     return _decades(args.x)
 
@@ -387,12 +385,12 @@ def cmd_reproduce(args) -> int:
         raise ValueError(f"cap {cap} excludes every reference row")
 
     system = build_system([parse_polynomial(s) for s in poly_texts])
-    c = _constant_for(system, "auto", 10**6)
+    c = constants.bh_constant(system, 10**6)
     if cap >= 10**9 and c.mode == constants.NAIVE:
         # The slowly convergent naive product is the estimate-column
         # bottleneck on the largest rows; a deeper truncation brings its
         # relative error below rounding scale there.
-        c = _constant_for(system, "auto", 10**8)
+        c = constants.bh_constant(system, 10**8)
     cps = [r[0] for r in rows]
     t0 = time.perf_counter()
     actuals = counting.count_series(system, cps, _engine_config(args),

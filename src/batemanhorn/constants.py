@@ -7,7 +7,8 @@ converges slowly and only conditionally.  For a single quadratic with a
 negative fundamental discriminant D, multiplying through by the Dirichlet
 series identity L(1, chi_D) = prod (1 - chi_D(p)/p)^(-1) leaves a product
 whose factors are 1 + O(p^-2) (mode 'accelerated'), absolutely convergent
-and accurate to ~1e-7 already at a 10^6 truncation.
+and accurate to ~1e-7 already at a 10^6 truncation.  bh_constant chooses
+between the two; both run through one loop over the primes.
 
 The error_estimate field is the last-decade drift |value(P) - value(P/10)|,
 an honest heuristic rather than a bound: no rigorous tail estimate exists
@@ -16,6 +17,7 @@ for the conditionally convergent form.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,42 +43,27 @@ class EulerProductResult:
     l_value: float | None = None
 
 
-def _require_admissible(system: PolySystem) -> None:
-    if not system.admissible:
-        raise InadmissibleSystemError(system.inadmissible_witness)
+def bh_constant(system: PolySystem, truncation: int) -> EulerProductResult:
+    """The constant by the best product available.
 
-
-def _omega(product: Polynomial, p: int) -> int:
-    """Root count of the product mod p, with cheap closed forms first."""
-    if product.degree == 1:
-        b, a = product.coeffs
-        if a % p:
-            return 1
-        return p if b % p == 0 else 0
-    return modular._root_count(product, p)
+    A single quadratic with a negative fundamental discriminant D and
+    |D| <= truncation gets the L-accelerated product; everything else gets
+    the direct one.  The bound on |D| keeps the O(|D|) L-value from costing
+    more than the product itself.
+    """
+    if system.m == 1 and system.polys[0].degree == 2:
+        f = system.polys[0]
+        d = discriminant(f)
+        if -int(truncation) <= d < 0 and is_fundamental_discriminant(d):
+            return bh_constant_accelerated(f, truncation)
+    return bh_constant_naive(system, truncation)
 
 
 def bh_constant_naive(system: PolySystem, truncation: int) -> EulerProductResult:
     """Directly truncated Euler product over all primes <= truncation."""
-    _require_admissible(system)
-    truncation = int(truncation)
-    if truncation < 2:
-        raise ValueError(f"truncation must be >= 2, got {truncation}")
-    m = system.m
-    product = system.product
-    tenth = truncation // 10
-    value = 1.0
-    at_tenth = None
-    for p in primality.primes_up_to(truncation):
-        if at_tenth is None and p > tenth:
-            at_tenth = value
-        # (1 - omega/p) / (1 - 1/p)^M as one correctly rounded ratio of
-        # exact integers; for omega = 1, M = 1 the factor is exactly 1.0
-        value *= (p - _omega(product, p)) * p**(m - 1) / (p - 1)**m
-    if at_tenth is None:
-        at_tenth = value
-    return EulerProductResult(value=value, truncation=truncation, mode=NAIVE,
-                              error_estimate=abs(value - at_tenth))
+    if not system.admissible:
+        raise InadmissibleSystemError(system.inadmissible_witness)
+    return _euler_product(system, truncation, None)
 
 
 def discriminant(f: Polynomial) -> int:
@@ -121,52 +108,63 @@ def l_value_negative_fundamental(d: int) -> float:
 
 def bh_constant_accelerated(f: Polynomial,
                             truncation: int) -> EulerProductResult:
-    """L-accelerated constant for a single irreducible quadratic.
-
-    Away from the primes dividing 2*a*D the local factor is
-    1 - chi_D(p)/(p-1); dividing each by 1 - chi_D(p)/p and compensating with
-    1/L(1, chi_D) makes the tail absolutely convergent.  The finitely many
-    exceptional primes p | 2aD contribute their raw factor, divided by
-    1 - chi_D(p)/p so the L-function substitution stays exact when
-    chi_D(p) != 0 there (p dividing 2a but not D).
-    """
-    truncation = int(truncation)
-    if truncation < 2:
-        raise ValueError(f"truncation must be >= 2, got {truncation}")
-    if f.degree != 2:
-        raise NotQuadraticError(f"{f} is not quadratic")
+    """L-accelerated constant for a single irreducible quadratic with a
+    negative fundamental discriminant D; the L-value costs O(|D|)."""
+    d = discriminant(f)  # raises NotQuadraticError first
     system = build_system((f,))  # validates irreducibility and admissibility
-    d = discriminant(f)
     if d >= 0 or not is_fundamental_discriminant(d):
         raise NotFundamentalError(
             f"discriminant {d} of {f} is not a negative fundamental "
             f"discriminant; use the naive product instead")
-    l_value = l_value_negative_fundamental(d)
+    return _euler_product(system, truncation, d)
 
-    a = f.leading_coefficient
-    exceptional = sorted(primality.factorize(2 * a * abs(d)))
-    prefactor = 1.0
-    for p in exceptional:
-        chi = modular.kronecker(d, p)
-        # [(1 - omega/p)/(1 - 1/p)] / (1 - chi/p) = p(p - omega)/((p-1)(p-chi))
-        prefactor *= p * (p - _omega(f, p)) / ((p - 1) * (p - chi))
 
-    exc = set(exceptional)
+def _euler_product(system: PolySystem, truncation: int,
+                   d: int | None) -> EulerProductResult:
+    """Euler product over the primes <= truncation; d is None for the direct
+    product, else the discriminant of the single quadratic to accelerate.
+
+    The factor of p is (1 - omega/p) / ((1 - 1/p)^M (1 - chi/p)), with
+    chi = 0 in the direct product.  Accelerated, chi = chi_D(p) and away
+    from the primes dividing 2aD omega = 1 + chi, so the factor is
+    1 + O(p^-2); 1/L(1, chi_D) = prod (1 - chi/p) restores the value.  The
+    primes dividing 2aD enter, at any size, through the prefactor with their
+    own omega, divided by 1 - chi/p so the L-substitution stays exact when
+    chi != 0 there (p dividing 2a but not D).
+    """
+    truncation = int(truncation)
+    if truncation < 2:
+        raise ValueError(f"truncation must be >= 2, got {truncation}")
+    f, m = system.product, system.m
+    l_value, exceptional = None, {}
+    if d is not None:
+        l_value = l_value_negative_fundamental(d)
+        exceptional = primality.factorize(2 * f.leading_coefficient * -d)
+    beyond = sorted(p for p in exceptional if p > truncation)
     tenth = truncation // 10
-    prod = 1.0
+    prefactor = prod = 1.0
     at_tenth = None
-    for p in primality.primes_up_to(truncation):
+    for p in itertools.chain(primality.primes_up_to(truncation), beyond):
         if at_tenth is None and p > tenth:
             at_tenth = prod
-        if p in exc:
-            continue
-        chi = modular.kronecker(d, p)
-        # (1 - chi/(p-1)) / (1 - chi/p) = p(p - 1 - chi)/((p - 1)(p - chi))
-        prod *= p * (p - 1 - chi) / ((p - 1) * (p - chi))
+        if d is None:
+            omega, chi = modular._root_count(f, p), 0
+        else:
+            chi = modular.kronecker(d, p)
+            omega = modular._root_count(f, p) if p in exceptional else 1 + chi
+        # one correctly rounded ratio of exact integers, p cancelled when
+        # chi = 0 so that both stay below 2^53 longer (int / int is fastest
+        # there); for omega = 1, M = 1, chi = 0 the factor is exactly 1.0
+        q = p if chi else 1
+        factor = (p - omega) * p**(m - 1) * q / ((p - 1)**m * (q - chi))
+        if p in exceptional:
+            prefactor *= factor
+        else:
+            prod *= factor
     if at_tenth is None:
         at_tenth = prod
-    scale = prefactor / l_value
+    scale = prefactor if l_value is None else prefactor / l_value
     return EulerProductResult(value=scale * prod, truncation=truncation,
-                              mode=ACCELERATED,
+                              mode=NAIVE if d is None else ACCELERATED,
                               error_estimate=abs(scale * (prod - at_tenth)),
                               l_value=l_value)

@@ -29,7 +29,8 @@ import numpy as np
 
 from . import modular, primality
 from .errors import InadmissibleSystemError, RangeOverflowError
-from .poly import I128_MAX, PolySystem, evaluate, threshold_cutoff
+from .poly import (I128_MAX, PolySystem, _eval_exact, evaluate,
+                   threshold_cutoff)
 
 
 @dataclass(frozen=True)
@@ -179,16 +180,13 @@ def _process_chunk_state(state, bounds: tuple[int, int]
     for p, roots in presieve:
         for r in roots:
             alive[(r - lo) % p::p] = False
-    polys = [list(c) for c in coeffs_list]
     qualified = []
     probable = False
     for k in np.flatnonzero(alive):
         n = lo + int(k)
         ok = True
-        for coeffs in polys:
-            v = 0
-            for c in reversed(coeffs):
-                v = v * n + c
+        for coeffs in coeffs_list:
+            v = _eval_exact(coeffs, n)
             if v > I128_MAX:
                 raise RangeOverflowError(
                     f"value at n={n} leaves the signed 128-bit range")

@@ -3,8 +3,9 @@ modulo a prime.
 
 The root count omega(p) of the system's product polynomial drives every local
 factor of the Euler product, and explicit root lists drive the counting
-engine's pre-sieve.  Counting uses gcd(x^p - x, f) over GF(p); a degree-2
-fast path reads the count off a Kronecker symbol of the discriminant.
+engine's pre-sieve.  Counting uses gcd(x^p - x, f) over GF(p); degree 1
+has a closed form, and degree 2 reads the count off a Kronecker symbol of
+the discriminant.
 """
 
 from __future__ import annotations
@@ -123,6 +124,11 @@ def count_roots(f: Polynomial, p: int) -> RootSet:
 
 def _root_count(f: Polynomial, p: int) -> int:
     """omega_f(p) for prime p (no primality re-check)."""
+    if f.degree == 1:
+        b, a = f.coeffs
+        if a % p:
+            return 1
+        return p if b % p == 0 else 0
     if f.degree == 2:
         c, b, a = f.coeffs
         disc = b * b - 4 * a * c
@@ -165,8 +171,7 @@ def _roots_of_reduced(fbar: list[int], p: int) -> list[int]:
     if d == 0:
         return []
     if p == 2 or (d <= 2 and p == 3):
-        return [n for n in range(p)
-                if _poly_eval_mod(fbar, n, p) == 0]
+        return _brute_force_roots(fbar, p)
     if d == 1:
         b, a = fbar
         return [(-b) * pow(a, p - 2, p) % p]
@@ -185,13 +190,6 @@ def _roots_of_reduced(fbar: list[int], p: int) -> list[int]:
     h = _gfpoly.x_pow_p_mod(fbar, p)
     g = _gfpoly.gcd(_gfpoly._sub_x(h, p), fbar, p)
     return _split_linear_product(g, p)
-
-
-def _poly_eval_mod(coeffs: list[int], n: int, p: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * n + c) % p
-    return acc
 
 
 def _brute_force_roots(fbar: list[int], p: int) -> list[int]:

@@ -14,6 +14,7 @@ per-polynomial irreducibility evidence.
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -51,8 +52,10 @@ def _trim(coeffs: Sequence[int]) -> list[int]:
     return out
 
 
-def _eval_exact(coeffs: Sequence[int], n: int) -> int:
-    """Horner evaluation with no range limit (internal use)."""
+def _eval_exact(coeffs: Sequence[int], n: int | float) -> int | float:
+    """Horner evaluation with no range limit (internal use).  The one
+    Horner loop of the package: exact for an integer n; for a float n it
+    performs the same IEEE operations as a loop started at 0.0."""
     acc = 0
     for c in reversed(coeffs):
         acc = acc * n + c
@@ -92,15 +95,19 @@ class Polynomial:
 
 
 def evaluate(f: Polynomial, n: int) -> int:
-    """Exact f(n); every Horner intermediate must fit in signed 128 bits."""
+    """Exact f(n); every Horner intermediate must fit in signed 128 bits.
+
+    Checking the result checks every intermediate.  For |n| >= 2, once
+    |acc| > I128_MAX > |c| the next one is |acc*n + c| >= 2|acc| - |c| >
+    |acc|, so it stays out of range; for |n| <= 1 every intermediate is at
+    most sum |c_i| < 2^127.
+    """
     if abs(n) > I64_MAX:
         raise RangeOverflowError(f"argument {n} exceeds the signed 64-bit range")
-    acc = 0
-    for c in reversed(f.coeffs):
-        acc = acc * n + c
-        if abs(acc) > I128_MAX:
-            raise RangeOverflowError(
-                f"evaluation at n={n} leaves the signed 128-bit range")
+    acc = _eval_exact(f.coeffs, n)
+    if abs(acc) > I128_MAX:
+        raise RangeOverflowError(
+            f"evaluation at n={n} leaves the signed 128-bit range")
     return acc
 
 
@@ -131,7 +138,8 @@ def format_polynomial(f: Polynomial) -> str:
 
 def parse_polynomial(text: str) -> Polynomial:
     """Parse an expression in ``n`` (operators + - * ^, parentheses, integer
-    literals) or a comma-separated ascending coefficient list.
+    literals) or a comma-separated ascending coefficient list.  Integer
+    literals are ASCII digits 0-9, signed inside coefficient lists.
 
     Expansion is exact; any intermediate coefficient outside the signed
     64-bit range raises RangeOverflowError.
@@ -150,11 +158,10 @@ def _parse_coeff_list(src: str) -> list[int]:
     coeffs = []
     for i, piece in enumerate(src.split(",")):
         piece = piece.strip()
-        try:
-            coeffs.append(int(piece))
-        except ValueError:
+        if not re.fullmatch(r"[+-]?[0-9]+", piece):
             raise PolynomialSyntaxError(
-                f"coefficient {i} is not an integer: {piece!r}") from None
+                f"coefficient {i} is not an integer: {piece!r}")
+        coeffs.append(int(piece))
     return coeffs
 
 
@@ -238,7 +245,7 @@ class _Parser:
         if ch == "n":
             self.pos += 1
             return [0, 1]
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # ASCII only; str.isdigit accepts superscripts
             return [self._integer("integer literal")]
         if ch == "":
             raise PolynomialSyntaxError("unexpected end of expression")
@@ -247,13 +254,12 @@ class _Parser:
 
     def _integer(self, what: str) -> int:
         self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.src) and self.src[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
+        digits = re.compile("[0-9]+").match(self.src, self.pos)
+        if not digits:
             raise PolynomialSyntaxError(
-                f"expected {what} at position {start}")
-        return int(self.src[start:self.pos])
+                f"expected {what} at position {self.pos}")
+        self.pos = digits.end()
+        return int(digits.group())
 
     @staticmethod
     def _neg(a: list[int]) -> list[int]:

@@ -236,7 +236,8 @@ def is_prime(v: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of odd composite n (Brent's cycle variant)."""
+    """A nontrivial factor of odd composite n (Floyd's cycle detection:
+    x takes one step of n -> n^2 + c, y two)."""
     if n % 2 == 0:
         return 2
     for c in range(1, 100):

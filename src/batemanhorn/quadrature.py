@@ -23,7 +23,7 @@ from typing import Sequence
 from .counting import CountResult
 from .errors import SingularIntegrandError, ToleranceNotMetError
 from .constants import EulerProductResult
-from .poly import PolySystem, count_roots_between
+from .poly import PolySystem, _eval_exact, count_roots_between
 
 _DEPTH_CAP = 60
 DEFAULT_TOL = 1e-9
@@ -39,13 +39,6 @@ class PredictionRow:
     original: float
     rel_err_modified: float | None = None
     rel_err_original: float | None = None
-
-
-def _poly_at(coeffs: Sequence[int], t: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
 
 
 def _check_no_dip(system: PolySystem, x: float) -> None:
@@ -67,7 +60,7 @@ def _modified_integrand(system: PolySystem):
     def g(t: float) -> float:
         denom = 1.0
         for coeffs in coeff_list:
-            v = _poly_at(coeffs, t)
+            v = _eval_exact(coeffs, t)
             if v <= 1.0:
                 raise SingularIntegrandError(
                     f"polynomial value {v} <= 1 at t={t}; the integrand is "

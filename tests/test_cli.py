@@ -34,6 +34,18 @@ def test_constant_naive_sophie_germain(capsys):
     assert "mode = naive" in out
 
 
+def test_constant_auto_needs_discriminant_within_truncation(capsys):
+    # the L-value sums |D| Kronecker terms, so auto accelerates only when
+    # |D| <= P; D = -4000004 at P = 1e3 took seconds before this rule
+    code, out, _ = run_main(capsys, "constant", "--poly", "n^2+1000001",
+                            "--truncate", "1e3")
+    assert code == 0 and "mode = naive" in out
+    for truncation, mode in (("23", "naive"), ("24", "accelerated")):
+        code, out, _ = run_main(capsys, "constant", "--poly", "6*n^2+1",
+                                "--truncate", truncation)
+        assert code == 0 and f"mode = {mode}" in out, truncation
+
+
 def test_constant_csv_roundtrip(capsys):
     code, out, _ = run_main(capsys, "constant", "--poly", "6*n^2+1",
                             "--format", "csv")
@@ -201,6 +213,8 @@ def test_usage_errors_exit_4(capsys):
         assert run_main(capsys, "count", "--poly", "n", "--x", x)[0] == 4, x
     assert run_main(capsys, "count", "--poly", "n", "--x", "100",
                     "--segment-size", "1000")[0] == 4
+    assert run_main(capsys, "count", "--poly", "n", "--x", "100",
+                    "--checkpoints", "1000,2000")[0] == 4
 
 
 @pytest.mark.parametrize("text,value", [
@@ -217,6 +231,7 @@ def test_int_arg_is_exact(text, value):
 def test_syntax_error_exit_2(capsys):
     code, _, err = run_main(capsys, "constant", "--poly", "2n")
     assert code == 2
+    assert run_main(capsys, "constant", "--poly", "n^\u00b2")[0] == 2
 
 
 def test_help_exits_0(capsys):

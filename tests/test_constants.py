@@ -8,6 +8,7 @@ from batemanhorn import (
     NotFundamentalError,
     NotNegativeError,
     NotQuadraticError,
+    bh_constant,
     bh_constant_accelerated,
     bh_constant_naive,
     build_system,
@@ -145,15 +146,40 @@ def test_accelerated_doubling_decay():
 
 
 def test_exceptional_prefactor_6n2_exactly_3():
-    from batemanhorn.constants import _omega
-    from batemanhorn.modular import kronecker
+    from batemanhorn.modular import _root_count, kronecker
     f = parse_polynomial("6*n^2+1")
     prefactor = 1.0
     for p in (2, 3):
         chi = kronecker(-24, p)
         assert chi == 0  # both exceptional primes divide D = -24
-        prefactor *= p * (p - _omega(f, p)) / ((p - 1) * (p - chi))
+        prefactor *= p * (p - _root_count(f, p)) / ((p - 1) * (p - chi))
     assert prefactor == 3.0
+
+
+def test_accelerated_exceptional_primes_at_any_truncation():
+    # p | 2aD enters the prefactor even beyond the truncation (11 for
+    # 3n^2+n+1 at 5, 101 for 101n^2+1 at 50); chi_D(3) = 1 for D = -11
+    from batemanhorn.modular import _root_count, kronecker
+    from batemanhorn.primality import primes_up_to
+    for text, truncations in (("3*n^2+n+1", (5, 7, 50)),
+                              ("101*n^2+1", (50, 200))):
+        f = parse_polynomial(text)
+        d = discriminant(f)
+        exceptional = {p for p in range(2, 202) if 2 * f.coeffs[2] * d % p
+                       == 0 and all(p % q for q in range(2, p))}
+        prefactor = 1.0
+        for p in sorted(exceptional):
+            chi = kronecker(d, p)
+            prefactor *= p * (p - _root_count(f, p)) / ((p - 1) * (p - chi))
+        for truncation in truncations:
+            prod = 1.0
+            for p in primes_up_to(truncation):
+                if p not in exceptional:
+                    chi = kronecker(d, p)
+                    prod *= p * (p - 1 - chi) / ((p - 1) * (p - chi))
+            expected = prefactor / l_value_negative_fundamental(d) * prod
+            assert bh_constant_accelerated(f, truncation).value == expected, \
+                (text, truncation)
 
 
 def test_accelerated_agrees_with_naive_within_drift():
@@ -185,6 +211,20 @@ def test_accelerated_input_validation():
     # positive discriminant
     with pytest.raises(NotFundamentalError):
         bh_constant_accelerated(parse_polynomial("n^2-n-1"), 100)
+
+
+def test_bh_constant_picks_the_product():
+    f = parse_polynomial("6*n^2+1")
+    for truncation in (24, 10**4):
+        assert bh_constant(system("6*n^2+1"), truncation) == \
+            bh_constant_accelerated(f, truncation)
+    # |D| = 24 above the truncation, D = -16 not fundamental, D = 5 positive,
+    # two polynomials, a cubic
+    for texts, truncation in ((("6*n^2+1",), 23), (("n^2+4",), 10**3),
+                              (("n^2-n-1",), 10**3), (("n", "2*n+1"), 10**3),
+                              (("n^3+2",), 10**3)):
+        assert bh_constant(system(*texts), truncation) == \
+            bh_constant_naive(system(*texts), truncation), texts
 
 
 def test_discriminant():

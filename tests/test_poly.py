@@ -53,6 +53,8 @@ def test_parse(text, coeffs):
 
 @pytest.mark.parametrize("text", [
     "", "n^", "(n", "n//2", "2n", "m+1", "n^n", "1,2,x", "n*", "^2", "n^-1",
+    # integer literals are ASCII digits; str.isdigit and int() accept more
+    "n^\u00b2", "\u00b2*n", "n^\u0663", "1\u0663*n", "1,\u0663", "1_0,1",
 ])
 def test_parse_syntax_errors(text):
     with pytest.raises(PolynomialSyntaxError):
@@ -382,3 +384,17 @@ def test_irreducibility_rational_roots_fail_hard():
                  "(897612484786617600*n-1)*(n^2+1)"]:
         with pytest.raises(IrreducibilityError):
             irreducibility_evidence(parse_polynomial(text))
+
+
+def test_gf_irreducibility_matches_sympy():
+    # Rabin's test over GF(p), which certifies degree >= 4 over the integers
+    sympy = pytest.importorskip("sympy")
+    from batemanhorn import _gfpoly
+    x = sympy.Symbol("x")
+    rng = random.Random(33)
+    for _ in range(400):
+        p = rng.choice((2, 3, 5, 7, 13))
+        d = rng.randint(1, 12)
+        f = [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)]
+        expected = sympy.Poly(list(reversed(f)), x, modulus=p).is_irreducible
+        assert _gfpoly.is_irreducible(f, p) == expected, (f, p)
