@@ -62,11 +62,9 @@ from .primality import (
     DETERMINISTIC,
     PROBABLE,
     PrimalityResult,
-    SieveSegment,
     classify,
     is_prime,
     primes_up_to,
-    sieve_segments,
     simple_sieve,
 )
 from .quadrature import (
@@ -81,13 +79,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ACCELERATED", "NAIVE", "DETERMINISTIC", "PROBABLE",
-    "Polynomial", "PolySystem", "RootSet", "SieveSegment",
+    "Polynomial", "PolySystem", "RootSet",
     "EulerProductResult", "CountResult", "EngineConfig", "PredictionRow",
     "PrimalityResult",
     "parse_polynomial", "format_polynomial", "evaluate", "build_system",
     "irreducibility_evidence", "threshold_cutoff",
     "kronecker", "count_roots", "list_roots", "sqrt_mod",
-    "primes_up_to", "sieve_segments", "simple_sieve", "is_prime", "classify",
+    "primes_up_to", "simple_sieve", "is_prime", "classify",
     "bh_constant", "bh_constant_naive", "bh_constant_accelerated",
     "l_value_negative_fundamental", "discriminant",
     "is_fundamental_discriminant",

@@ -2,11 +2,15 @@
 
 Polynomials are lists of residues in ascending degree order; [] is the zero
 polynomial.  Only what root counting, root listing and mod-p irreducibility
-certificates need: remainder, gcd, modular exponentiation and derivatives.
-Everything is O(d^2) per multiplication, fine for the small degrees used here.
+certificates need: difference, product, remainder, quotient, gcd, modular
+exponentiation, and linear_part(f) = gcd(x^p - x, f), the one place that
+computes it.  Everything is O(d^2) per multiplication, fine for the small
+degrees used here.
 """
 
 from __future__ import annotations
+
+from itertools import zip_longest
 
 from . import primality
 
@@ -19,6 +23,10 @@ def trim(a: list[int]) -> list[int]:
 
 def degree(a: list[int]) -> int:
     return len(a) - 1  # -1 for the zero polynomial
+
+
+def sub(a: list[int], b: list[int], p: int) -> list[int]:
+    return trim([(ca - cb) % p for ca, cb in zip_longest(a, b, fillvalue=0)])
 
 
 def mul(a: list[int], b: list[int], p: int) -> list[int]:
@@ -65,20 +73,14 @@ def quo(a: list[int], m: list[int], p: int) -> list[int]:
     return trim(q)
 
 
-def monic(a: list[int], p: int) -> list[int]:
+def gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    a, b = trim([c % p for c in a]), trim([c % p for c in b])
+    while b:
+        a, b = b, mod(a, b, p)
     if not a:
         return a
     inv = pow(a[-1], p - 2, p)
     return [c * inv % p for c in a]
-
-
-def gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = [c % p for c in a], [c % p for c in b]
-    trim(a)
-    trim(b)
-    while b:
-        a, b = b, mod(a, b, p)
-    return monic(a, p)
 
 
 def pow_mod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
@@ -93,14 +95,10 @@ def pow_mod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
     return result
 
 
-def x_pow_p_mod(m: list[int], p: int) -> list[int]:
-    """x^p mod (m, p)."""
-    return pow_mod([0, 1], p, m, p)
-
-
-def deriv(a: list[int], p: int) -> list[int]:
-    out = [k * c % p for k, c in enumerate(a)][1:]
-    return trim(out)
+def linear_part(f: list[int], p: int) -> list[int]:
+    """gcd(x^p - x, f): the monic product of the distinct linear factors
+    of f over GF(p), f nonzero."""
+    return gcd(sub(pow_mod([0, 1], p, f, p), [0, 1], p), f, p)
 
 
 def is_irreducible(f: list[int], p: int) -> bool:
@@ -108,7 +106,9 @@ def is_irreducible(f: list[int], p: int) -> bool:
 
     f is irreducible of degree d iff x^(p^d) = x mod f and, for every prime
     q | d, gcd(x^(p^(d/q)) - x, f) is constant.  One chain of p-th powers
-    x^(p^k), k = 1..d, serves every check.
+    x^(p^k), k = 1..d, serves every check.  No squarefree pre-check is
+    needed: x^(p^d) - x is squarefree, so f with a repeated factor fails
+    the divisibility (Rabin, SIAM J. Comput. 9, 1980).
     """
     f = trim([c % p for c in f])
     d = degree(f)
@@ -116,25 +116,10 @@ def is_irreducible(f: list[int], p: int) -> bool:
         return False
     if d == 1:
         return True
-    if gf_squarefree_fails(f, p):
-        return False
     checks = {d // q for q in primality.factorize(d)}
-    h = [0, 1]
+    x = h = [0, 1]
     for k in range(1, d + 1):
         h = pow_mod(h, p, f, p)
-        if k in checks and degree(gcd(_sub_x(h, p), f, p)) > 0:
+        if k in checks and degree(gcd(sub(h, x, p), f, p)) > 0:
             return False
-    return not _sub_x(h, p)
-
-
-def gf_squarefree_fails(f: list[int], p: int) -> bool:
-    df = deriv(f, p)
-    if not df:
-        return True  # f is a p-th power (or constant): repeated factors
-    return degree(gcd(f, df, p)) > 0
-
-
-def _sub_x(a: list[int], p: int) -> list[int]:
-    out = list(a) + [0] * max(0, 2 - len(a))
-    out[1] = (out[1] - 1) % p
-    return trim(out)
+    return not sub(h, x, p)

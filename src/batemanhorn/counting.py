@@ -99,11 +99,11 @@ def count_series(system: PolySystem, checkpoints: Sequence[int],
     certainty = [primality.DETERMINISTIC] * len(checkpoints)
     done = [False] * len(checkpoints)
 
-    def absorb(lo: int, hi: int, qualified: list[int], probable: bool,
+    def absorb(hi: int, qualified: list[int], probable: int | None,
                running_total: int) -> int:
         for j, c in enumerate(checkpoints):
             counts[j] += bisect_right(qualified, c)
-            if probable and c > lo:
+            if probable is not None and probable <= c:
                 certainty[j] = primality.PROBABLE
             if not done[j] and hi >= c:
                 done[j] = True
@@ -118,7 +118,7 @@ def count_series(system: PolySystem, checkpoints: Sequence[int],
     total = 0
     for lo, hi in _chunk_bounds(1, direct_limit, config.segment_size):
         qualified, probable = _process_chunk_state((coeffs, (), 0), (lo, hi))
-        total = absorb(lo - 1, hi, qualified, probable, total)
+        total = absorb(hi, qualified, probable, total)
 
     if x > direct_limit:
         state = (coeffs, _presieve_roots(system, bound), bound)
@@ -128,8 +128,8 @@ def count_series(system: PolySystem, checkpoints: Sequence[int],
             results = _run_pool(state, chunks, workers)
         else:
             results = (_process_chunk_state(state, bounds) for bounds in chunks)
-        for (lo, hi), (qualified, probable) in zip(chunks, results):
-            total = absorb(lo - 1, hi, qualified, probable, total)
+        for (_, hi), (qualified, probable) in zip(chunks, results):
+            total = absorb(hi, qualified, probable, total)
 
     return [CountResult(x=c, count=counts[j], certainty=certainty[j],
                         elapsed=elapsed[j])
@@ -167,10 +167,12 @@ def _chunk_bounds(start: int, stop: int,
 
 
 def _process_chunk_state(state, bounds: tuple[int, int]
-                         ) -> tuple[list[int], bool]:
+                         ) -> tuple[list[int], int | None]:
     """Sieve one segment [lo, hi] and test survivor values >= (B+1)^2.
 
-    state is (coefficients, root table of every prime <= B, B).
+    state is (coefficients, root table of every prime <= B, B).  Returns
+    the qualified n, ascending, and the first of them that a probable
+    verdict admitted (None if none did).
     """
     coeffs_list, presieve, bound = state
     proved = (bound + 1) ** 2
@@ -180,28 +182,27 @@ def _process_chunk_state(state, bounds: tuple[int, int]
     for p, roots in presieve:
         for r in roots:
             alive[(r - lo) % p::p] = False
-    qualified = []
-    probable = False
+    qualified, probable = [], None
     for k in np.flatnonzero(alive):
         n = lo + int(k)
-        ok = True
+        uncertain = False
         for coeffs in coeffs_list:
             v = _eval_exact(coeffs, n)
             if v > I128_MAX:
                 raise RangeOverflowError(
                     f"value at n={n} leaves the signed 128-bit range")
             if v < 2:
-                ok = False
                 break
             if v < proved:
                 continue
             verdict = primality.classify(v)
-            probable = probable or verdict.certainty == primality.PROBABLE
             if not verdict.prime:
-                ok = False
                 break
-        if ok:
+            uncertain = uncertain or verdict.certainty == primality.PROBABLE
+        else:
             qualified.append(n)
+            if uncertain and probable is None:
+                probable = n
     return qualified, probable
 
 

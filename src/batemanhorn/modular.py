@@ -3,9 +3,11 @@ modulo a prime.
 
 The root count omega(p) of the system's product polynomial drives every local
 factor of the Euler product, and explicit root lists drive the counting
-engine's pre-sieve.  Counting uses gcd(x^p - x, f) over GF(p); degree 1
-has a closed form, and degree 2 reads the count off a Kronecker symbol of
-the discriminant.
+engine's pre-sieve.  Degree 1 has a closed form, and degree 2 reads the
+count off a Kronecker symbol of the discriminant (Tonelli-Shanks lists the
+roots).  Higher degrees take _gfpoly.linear_part = gcd(x^p - x, f) over
+GF(p): its degree is the count, and equal-degree splitting of it lists the
+roots (small p are brute-forced instead).
 """
 
 from __future__ import annotations
@@ -142,11 +144,7 @@ def _root_count_gcd(f: Polynomial, p: int) -> int:
     fbar = _reduce(f, p)
     if not fbar:
         return p  # vanishes identically
-    if _gfpoly.degree(fbar) == 0:
-        return 0
-    h = _gfpoly.x_pow_p_mod(fbar, p)
-    g = _gfpoly.gcd(_gfpoly._sub_x(h, p), fbar, p)
-    return _gfpoly.degree(g)
+    return _gfpoly.degree(_gfpoly.linear_part(fbar, p))
 
 
 def list_roots(f: Polynomial, p: int) -> RootSet:
@@ -187,9 +185,7 @@ def _roots_of_reduced(fbar: list[int], p: int) -> list[int]:
         return [(-b + s) * inv2a % p, (-b - s) * inv2a % p]
     if p <= _BRUTE_FORCE_LIMIT:
         return _brute_force_roots(fbar, p)
-    h = _gfpoly.x_pow_p_mod(fbar, p)
-    g = _gfpoly.gcd(_gfpoly._sub_x(h, p), fbar, p)
-    return _split_linear_product(g, p)
+    return _split_linear_product(_gfpoly.linear_part(fbar, p), p)
 
 
 def _brute_force_roots(fbar: list[int], p: int) -> list[int]:
@@ -203,26 +199,15 @@ def _brute_force_roots(fbar: list[int], p: int) -> list[int]:
 def _split_linear_product(g: list[int], p: int) -> list[int]:
     """Roots of g, a squarefree product of linear factors over GF(p)."""
     d = _gfpoly.degree(g)
-    if d <= 0:
-        return []
-    if d == 1:
-        b, a = g
-        return [(-b) * pow(a, p - 2, p) % p]
-    if d == 2:
+    if d <= 2:
         return _roots_of_reduced(g, p)
     shift = 1
     while True:
         # gcd with (x+shift)^((p-1)/2) - 1 separates the roots r for which
         # r+shift is a quadratic residue; deterministic shifts keep the
         # output reproducible.
-        base = [shift % p, 1]
-        h = _gfpoly.pow_mod(base, (p - 1) // 2, g, p)
-        h = list(h)
-        if h:
-            h[0] = (h[0] - 1) % p
-        else:
-            h = [p - 1]
-        part = _gfpoly.gcd(h, g, p)
+        h = _gfpoly.pow_mod([shift % p, 1], (p - 1) // 2, g, p)
+        part = _gfpoly.gcd(_gfpoly.sub(h, [1], p), g, p)
         if 0 < _gfpoly.degree(part) < d:
             rest = _gfpoly.quo(g, part, p)
             return _split_linear_product(part, p) + \

@@ -34,8 +34,7 @@ I64_MAX = 2**63 - 1
 I128_MAX = 2**127 - 1
 
 # Primes used when hunting for a mod-p irreducibility certificate (degree >= 4).
-_CERTIFICATE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
-                       53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+_CERTIFICATE_PRIMES = primality._TRIAL_PRIMES[:25]
 
 
 def _check64(coeffs: Sequence[int]) -> None:
@@ -384,7 +383,8 @@ def irreducibility_evidence(f: Polynomial) -> str:
     (hard error); its absence decides degrees 2 and 3 completely.  For
     degree >= 4 we look for a prime p with f irreducible mod p, which
     certifies irreducibility over the integers; if no small prime certifies
-    and no factorization was found the verdict stays heuristic.
+    the verdict stays heuristic.  A heuristic f may still have a factor of
+    degree >= 2: n^20+n+1 = (n^2+n+1)(n^18 - n^17 + ... + 1) is one.
     """
     if f.degree == 1:
         return "certified"
@@ -402,7 +402,8 @@ def irreducibility_evidence(f: Polynomial) -> str:
             return "certified"
     warnings.warn(
         f"no irreducibility certificate found for {f}; proceeding on the "
-        f"heuristic that it is irreducible", stacklevel=2)
+        f"heuristic that it is irreducible (it has no linear factor, but a "
+        f"factor of degree >= 2 is not ruled out)", stacklevel=2)
     return "heuristic"
 
 

@@ -1,10 +1,11 @@
 """Prime generation and primality testing.
 
-primes_up_to streams a segmented sieve of Eratosthenes (numpy masks, fixed
-power-of-two segments).  Single-number testing is deterministic Miller-Rabin
-below 2^64, with the first 1 to 12 primes as witnesses by size, and
-Baillie-PSW (strong base-2 Miller-Rabin plus a strong Lucas test with
-Selfridge parameters) above, where prime verdicts are tagged 'probable'.
+primes_up_to streams a segmented sieve of Eratosthenes: numpy masks over
+fixed 2^20 segments, struck by the base primes that simple_sieve finds up to
+sqrt(limit).  Single-number testing is deterministic Miller-Rabin below
+2^64, with the first 1 to 12 primes as witnesses by size, and Baillie-PSW
+(strong base-2 Miller-Rabin plus a strong Lucas test with Selfridge
+parameters) above, where prime verdicts are tagged 'probable'.
 Composite verdicts are always certain: a failed Miller-Rabin round or a
 found factor is a proof.
 """
@@ -12,7 +13,6 @@ found factor is a proof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -24,9 +24,14 @@ PROBABLE = "probable"
 
 U64 = 1 << 64
 SIEVE_LIMIT_MAX = 1 << 40
-DEFAULT_SEGMENT_SIZE = 1 << 20
+_SEGMENT = 1 << 20
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The primes below 1000: trial divisors above 2^64, and by slices the
+# Miller-Rabin witnesses, factorize's first divisors and the primes that
+# poly tries for a mod-p irreducibility certificate.
+_TRIAL_PRIMES = tuple(p for p in range(2, 1000)
+                      if all(p % d for d in range(2, math.isqrt(p) + 1)))
+_MR_WITNESSES = _TRIAL_PRIMES[:12]
 
 # (psi_k, k): psi_k is the smallest strong pseudoprime to the first k prime
 # bases, so those bases decide every v < psi_k.  psi_8 = psi_7.
@@ -52,14 +57,6 @@ class PrimalityResult(NamedTuple):
 # Sieving
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class SieveSegment:
-    """One sieve block: bits[k] is True iff base + k is prime."""
-
-    base: int
-    bits: np.ndarray
-
-
 def simple_sieve(limit: int) -> np.ndarray:
     """Boolean array a with a[n] True iff n is prime, 0 <= n <= limit."""
     a = np.ones(limit + 1, dtype=bool)
@@ -70,47 +67,28 @@ def simple_sieve(limit: int) -> np.ndarray:
     return a
 
 
-def sieve_segments(limit: int,
-                   segment_size: int = DEFAULT_SEGMENT_SIZE
-                   ) -> Iterator[SieveSegment]:
-    """Stream fixed-size sieve segments covering [0, limit].
+def primes_up_to(limit: int) -> Iterator[int]:
+    """All primes <= limit, ascending, streamed from fixed 2^20 segments.
 
-    Bits past the limit in the final segment are False.  Memory use is one
-    segment plus the base primes up to sqrt(limit).
+    Memory use is one segment plus the base primes up to sqrt(limit).
     """
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
     if limit > SIEVE_LIMIT_MAX:
         raise LimitTooLargeError(
             f"sieve limit {limit} exceeds the 2^40 guard")
-    if segment_size < 2 or segment_size & (segment_size - 1):
-        raise ValueError(f"segment size must be a power of two, got "
-                         f"{segment_size}")
-    root = math.isqrt(limit)
-    base_primes = np.flatnonzero(simple_sieve(root)) if root >= 2 else \
-        np.empty(0, dtype=np.int64)
-    for lo in range(0, limit + 1, segment_size):
-        hi = min(lo + segment_size, limit + 1)  # exclusive
-        bits = np.ones(segment_size, dtype=bool)
+    base_primes = [int(p) for p in np.flatnonzero(
+        simple_sieve(math.isqrt(limit)))]
+    for lo in range(0, limit + 1, _SEGMENT):
+        hi = min(lo + _SEGMENT, limit + 1)  # exclusive
+        bits = np.ones(hi - lo, dtype=bool)
         if lo == 0:
             bits[:2] = False
-        if hi - lo < segment_size:
-            bits[hi - lo:] = False
         for p in base_primes:
-            p = int(p)
             start = max(p * p, (lo + p - 1) // p * p)
-            if start >= hi:
-                continue
-            bits[start - lo:hi - lo:p] = False
-        yield SieveSegment(base=lo, bits=bits)
-
-
-def primes_up_to(limit: int,
-                 segment_size: int = DEFAULT_SEGMENT_SIZE) -> Iterator[int]:
-    """All primes <= limit, ascending, streamed segment by segment."""
-    for seg in sieve_segments(limit, segment_size):
-        for k in np.flatnonzero(seg.bits):
-            yield seg.base + int(k)
+            bits[start - lo::p] = False
+        for k in np.flatnonzero(bits):
+            yield lo + int(k)
 
 
 # ---------------------------------------------------------------------------
@@ -190,14 +168,6 @@ def _strong_lucas(n: int) -> bool:
     return False
 
 
-def _small_primes_below_1000() -> tuple[int, ...]:
-    sieve = simple_sieve(999)
-    return tuple(int(p) for p in np.flatnonzero(sieve))
-
-
-_TRIAL_PRIMES = _small_primes_below_1000()
-
-
 def classify(v: int) -> PrimalityResult:
     """Primality verdict with a certainty tag.
 
@@ -256,7 +226,7 @@ def _pollard_rho(n: int) -> int:
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}."""
     out: dict[int, int] = {}
-    for p in (2, 3, 5, 7, 11, 13):
+    for p in _TRIAL_PRIMES[:6]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p

@@ -155,8 +155,8 @@ def round_half_away(v: float) -> int:
 # ---------------------------------------------------------------------------
 
 def _adaptive_simpson(g, a: float, b: float, tol: float) -> float:
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:  # also rejects nan
+        raise ValueError(f"tolerance must be a finite number > 0, got {tol}")
     fa, fm, fb = g(a), g((a + b) / 2), g(b)
     whole = (b - a) / 6 * (fa + 4 * fm + fb)
     return _simpson_rec(g, a, b, fa, fm, fb, whole, tol, tol, _DEPTH_CAP)

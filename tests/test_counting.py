@@ -210,13 +210,17 @@ def test_classify_never_called_beyond_n_star(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_probable_certainty_propagates():
-    # f(2) = 2^64 + 13, a prime beyond the deterministic range
+    # f(1) = 2^63 + 14 is even; f(2) = 2^64 + 13 is a probable prime, so
+    # only the checkpoint that counts n = 2 is probable
     f = Polynomial((15, 2**63 - 1))
-    s = build_system([f])
-    r = count_simultaneous_primes(s, 2, EngineConfig(workers=1,
-                                                     presieve_bound=0))
-    assert r.count == 1
-    assert r.certainty == PROBABLE
+    cfg = EngineConfig(workers=1, presieve_bound=0)
+    r1, r2 = count_series(build_system([f]), [1, 2], cfg)
+    assert (r1.count, r1.certainty) == (0, DETERMINISTIC)
+    assert (r2.count, r2.certainty) == (1, PROBABLE)
+    # 5 * 2^62 + 39 is a probable prime, but n = 5 fails at n + 1 = 6
+    s = build_system([Polynomial((39, 2**62)), Polynomial((1, 1))])
+    r = count_series(s, [5], cfg)[0]
+    assert (r.count, r.certainty) == (0, DETERMINISTIC)
 
 
 def test_count_rejects_inadmissible():

@@ -398,3 +398,16 @@ def test_gf_irreducibility_matches_sympy():
         f = [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)]
         expected = sympy.Poly(list(reversed(f)), x, modulus=p).is_irreducible
         assert _gfpoly.is_irreducible(f, p) == expected, (f, p)
+
+
+@pytest.mark.parametrize("f,p,expected", [
+    # g^2 h, g = x^2+x+1, h = x^3+x+1: no linear factor, so only the final
+    # condition x^(2^7) = x mod f sees the repeated factor
+    ([1, 1, 1, 0, 1, 0, 0, 1], 2, False),
+    ([1, 5, 10, 10, 5, 1], 5, False),   # (x+1)^5
+    ([0, 0, 1], 7, False),              # x^2
+    ([1, 1, 0, 0, 1], 2, True),         # x^4+x+1
+])
+def test_gf_irreducibility_repeated_factors(f, p, expected):
+    from batemanhorn import _gfpoly
+    assert _gfpoly.is_irreducible(f, p) == expected

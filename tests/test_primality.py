@@ -11,7 +11,6 @@ from batemanhorn import (
     classify,
     is_prime,
     primes_up_to,
-    sieve_segments,
     simple_sieve,
 )
 from batemanhorn.primality import _miller_rabin
@@ -54,28 +53,29 @@ def test_pi_of_1e6_against_independent_oracle():
 
 
 def test_segment_size_invariance():
-    a = list(primes_up_to(10**5, segment_size=2**10))
-    b = list(primes_up_to(10**5, segment_size=2**20))
-    assert a == b
+    # the sieve runs in fixed 2^20 segments; the output must not depend on
+    # where a limit falls against their edges
+    for limit in (2**20 - 1, 2**20, 2**20 + 1, 3 * 2**20 + 7):
+        expected = np.flatnonzero(simple_sieve(limit)).tolist()
+        assert list(primes_up_to(limit)) == expected, limit
 
 
 def test_segment_shape_and_bit_correctness():
-    segs = list(sieve_segments(3 * 10**4, segment_size=2**12))
-    assert all(len(s.bits) == 2**12 for s in segs)
+    # n drawn from both sides of the first segment edge, against trial
+    # division; nothing past the limit is yielded
+    limit = 2**20 + 3 * 10**4
+    primes = set(primes_up_to(limit))
+    assert max(primes) <= limit
     rng = random.Random(8)
     for _ in range(200):
-        seg = rng.choice(segs)
-        k = rng.randrange(len(seg.bits))
-        n = seg.base + k
+        n = rng.randrange(2**20 - 3 * 10**4, limit + 100)
         by_trial = n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
-        assert bool(seg.bits[k]) == (by_trial and n <= 3 * 10**4)
+        assert (n in primes) == (by_trial and n <= limit), n
 
 
 def test_sieve_limit_guard():
     with pytest.raises(LimitTooLargeError):
         next(iter(primes_up_to(2**40 + 1)))
-    with pytest.raises(ValueError):
-        list(primes_up_to(100, segment_size=1000))  # not a power of two
 
 
 def test_trivial_values():
