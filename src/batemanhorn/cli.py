@@ -5,9 +5,10 @@ stable contract: 0 success, 1 reproduction mismatch, 2 invalid or
 inadmissible polynomial system, 3 range overflow, 4 usage error.
 
 The modified prediction integral runs from n0 + 1 (not n0): at n0 itself
-some polynomial equals 1 and the integrand 1 / prod log f_i diverges.  Both
-bundled reference tables are reproduced exactly under this bound; see the
-README for the full discussion.
+some polynomial equals 1 and the integrand 1 / prod log f_i diverges.  It
+never starts below 1, because counts cover only n >= 1.  Both bundled
+reference tables are reproduced exactly under this bound; see the README for
+the full discussion.
 """
 
 from __future__ import annotations
@@ -109,9 +110,9 @@ def _build_parser() -> _Parser:
         description="Constants, predictions and exact counts for "
                     "simultaneous prime values of integer polynomial "
                     "systems.",
-        epilog="The modified prediction integral starts at n0 + 1 to avoid "
-               "the log f = 1 singularity; the original-model integral "
-               "starts at 2.")
+        epilog="The modified prediction integral starts at max(n0 + 1, 1), "
+               "avoiding the log f = 0 singularity at n0; the original-model "
+               "integral starts at 2.")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
     sub.required = True
 
@@ -134,10 +135,11 @@ def _build_parser() -> _Parser:
                             "O(|D|)")
 
     def add_engine_opts(p):
-        p.add_argument("--presieve", type=_int_arg, default=100_000,
+        p.add_argument("--presieve", type=_int_arg, default=None,
                        metavar="P0", help="upper limit on the pre-sieve prime "
                        "bound; the engine lowers it to isqrt(max f(x)) + 1 "
-                       "(default 1e5; 0 disables)")
+                       "(default: automatic, 2^25 when every degree is <= 2, "
+                       "else 1e5; 0 disables)")
         p.add_argument("--segment-size", type=_int_arg, default=1 << 20,
                        metavar="S", help="sieve segment length, a power of "
                        "two (default 2^20)")
@@ -338,9 +340,12 @@ def cmd_predict(args) -> int:
 
 def _table_notes(system: PolySystem, c: constants.EulerProductResult,
                  certainty: str | None = None) -> list[str]:
+    lower = quadrature.modified_lower_bound(system)
+    modified_from = (f"n0+1 = {lower}" if lower == system.n0 + 1 else
+                     f"{lower} (n0+1 = {system.n0 + 1} is below 1)")
     notes = [f"constant {c.value:.10g} ({c.mode}, truncation {c.truncation}, "
              f"drift {c.error_estimate:.2g})",
-             f"integral lower bounds: modified from n0+1 = {system.n0 + 1}, "
+             f"integral lower bounds: modified from {modified_from}, "
              f"original from 2"]
     if certainty is not None:
         notes.append(f"certainty: {certainty}")

@@ -11,6 +11,21 @@ the same kernel with no roots and B = 0, so every value there is tested.
 B = min(presieve_bound, isqrt(max_i f_i(x)) + 1): a larger bound would mark
 no composite value that a smaller prime misses.
 
+The root table is two arrays (p, r) sorted by p (modular._root_table).  In
+a segment of length L, a prime below L / 64 strikes slices; the larger ones
+are cleared by one batched scatter per block of table entries.
+
+The automatic bound (presieve_bound None) follows what the table costs per
+prime, which the degrees decide.  Measured on a 2-core Xeon, CPython 3.11,
+numpy 2.4: degrees 1 and 2 are solved in numpy lanes at about 3 us a prime,
+while a cubic takes the scalar gcd(x^p - x, f) path at about 180 us a
+prime.  A Miller-Rabin test of a prime value near 6e12 costs about 90 us.
+So when every f_i has degree <= 2, B is capped only at 2^25: pi(2^25) =
+2,063,689 primes cost about 6 s and 16 MB for one quadratic, and the cap
+covers the full bound of `reproduce 2 --cap 1e7` (isqrt(6e14) + 1 =
+24,494,898), which then runs no primality test past n_star.  Otherwise the
+cap stays 1e5.  An explicit presieve_bound is an upper limit as before.
+
 Segments are independent work units, so the sieved phase can run on a
 process pool; results merge by ordered integer sums and are identical for
 any worker count, segment size, or pre-sieve bound.
@@ -21,6 +36,7 @@ from __future__ import annotations
 import math
 import os
 import time
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -41,9 +57,17 @@ class CountResult:
     elapsed: float
 
 
+# The automatic pre-sieve limits; see the module docstring.
+_AUTO_BOUND_LOW_DEGREE = 1 << 25
+_AUTO_BOUND = 100_000
+# Table entries scattered together; bounds the kernel's temporary arrays.
+_SCATTER_BLOCK = 1 << 14
+
+
 @dataclass(frozen=True)
 class EngineConfig:
-    presieve_bound: int = 100_000  # upper limit; count_series may lower it
+    # Upper limit on B, lowered by count_series; None: automatic.
+    presieve_bound: int | None = None
     segment_size: int = 1 << 20
     workers: int | None = None  # None: BH_WORKERS env, then cpu count
 
@@ -51,7 +75,7 @@ class EngineConfig:
         s = self.segment_size
         if s < 2 or s & (s - 1):
             raise ValueError(f"segment size must be a power of two, got {s}")
-        if self.presieve_bound < 0:
+        if self.presieve_bound is not None and self.presieve_bound < 0:
             raise ValueError("presieve bound must be >= 0")
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be >= 1")
@@ -92,14 +116,18 @@ def count_series(system: PolySystem, checkpoints: Sequence[int],
     t0 = time.perf_counter()
     # evaluate also surfaces range overflow before any work happens
     top = max(evaluate(f, x) for f in system.polys)
-    bound = min(config.presieve_bound, math.isqrt(max(0, top)) + 1)
+    limit = config.presieve_bound
+    if limit is None:
+        low_degree = all(f.degree <= 2 for f in system.polys)
+        limit = _AUTO_BOUND_LOW_DEGREE if low_degree else _AUTO_BOUND
+    bound = min(limit, math.isqrt(max(0, top)) + 1)
 
     counts = [0] * len(checkpoints)
     elapsed = [0.0] * len(checkpoints)
     certainty = [primality.DETERMINISTIC] * len(checkpoints)
     done = [False] * len(checkpoints)
 
-    def absorb(hi: int, qualified: list[int], probable: int | None,
+    def absorb(hi: int, qualified: array, probable: int | None,
                running_total: int) -> int:
         for j, c in enumerate(checkpoints):
             counts[j] += bisect_right(qualified, c)
@@ -116,12 +144,14 @@ def count_series(system: PolySystem, checkpoints: Sequence[int],
     coeffs = tuple(f.coeffs for f in system.polys)
     direct_limit = min(max(0, threshold_cutoff(system, bound)), x)
     total = 0
+    direct = (coeffs, modular._root_table(system.polys, ()), 0)
     for lo, hi in _chunk_bounds(1, direct_limit, config.segment_size):
-        qualified, probable = _process_chunk_state((coeffs, (), 0), (lo, hi))
+        qualified, probable = _process_chunk_state(direct, (lo, hi))
         total = absorb(hi, qualified, probable, total)
 
     if x > direct_limit:
-        state = (coeffs, _presieve_roots(system, bound), bound)
+        primes = primality._prime_segments(bound) if bound >= 2 else ()
+        state = (coeffs, modular._root_table(system.polys, primes), bound)
         chunks = list(_chunk_bounds(direct_limit + 1, x, config.segment_size))
         workers = resolve_workers(config)
         if workers > 1 and len(chunks) > 1:
@@ -140,24 +170,6 @@ def count_series(system: PolySystem, checkpoints: Sequence[int],
 # Root table and segment kernel
 # ---------------------------------------------------------------------------
 
-def _presieve_roots(system: PolySystem,
-                    bound: int) -> list[tuple[int, tuple[int, ...]]]:
-    """(p, merged roots of all f_i mod p) for every pre-sieve prime p.
-
-    p is prime by construction, so list_roots' primality check is skipped.
-    """
-    if bound < 2:
-        return []
-    table = []
-    for p in primality.primes_up_to(bound):
-        roots: set[int] = set()
-        for f in system.polys:
-            roots.update(modular._roots_of_reduced(modular._reduce(f, p), p))
-        if roots:
-            table.append((p, tuple(sorted(roots))))
-    return table
-
-
 def _chunk_bounds(start: int, stop: int,
                   size: int) -> Iterable[tuple[int, int]]:
     lo = start
@@ -167,23 +179,19 @@ def _chunk_bounds(start: int, stop: int,
 
 
 def _process_chunk_state(state, bounds: tuple[int, int]
-                         ) -> tuple[list[int], int | None]:
+                         ) -> tuple[array, int | None]:
     """Sieve one segment [lo, hi] and test survivor values >= (B+1)^2.
 
-    state is (coefficients, root table of every prime <= B, B).  Returns
-    the qualified n, ascending, and the first of them that a probable
-    verdict admitted (None if none did).
+    state is (coefficients, root table (p, r) of every prime <= B, B).
+    Returns the qualified n, ascending (8 bytes each in an int64 array,
+    not a list of ints), and the first of them that a probable verdict
+    admitted (None if none did).
     """
-    coeffs_list, presieve, bound = state
+    coeffs_list, table, bound = state
     proved = (bound + 1) ** 2
     lo, hi = bounds
-    length = hi - lo + 1
-    alive = np.ones(length, dtype=bool)
-    for p, roots in presieve:
-        for r in roots:
-            alive[(r - lo) % p::p] = False
-    qualified, probable = [], None
-    for k in np.flatnonzero(alive):
+    qualified, probable = array("q"), None
+    for k in np.flatnonzero(_sieve_segment(table, lo, hi - lo + 1)):
         n = lo + int(k)
         uncertain = False
         for coeffs in coeffs_list:
@@ -204,6 +212,31 @@ def _process_chunk_state(state, bounds: tuple[int, int]
             if uncertain and probable is None:
                 probable = n
     return qualified, probable
+
+
+def _sieve_segment(table: tuple[np.ndarray, np.ndarray], lo: int,
+                   length: int) -> np.ndarray:
+    """alive[k] is False iff lo + k = r (mod p) for some (p, r) in table.
+
+    A prime below length / 64 strikes its slices one root at a time.  Each
+    larger one hits at most 64 times, so they are cleared together by
+    scatter: next-hit offsets, advanced by p until they leave the segment.
+    Nothing carries over between segments.
+    """
+    p, r = table
+    alive = np.ones(length, dtype=bool)
+    small = int(np.count_nonzero(p < length // 64))  # p is ascending
+    for q, s in zip(p[:small].tolist(), r[:small].tolist()):
+        alive[(s - lo) % q::q] = False
+    for k in range(small, p.size, _SCATTER_BLOCK):
+        step = p[k:k + _SCATTER_BLOCK].astype(np.int64)
+        off = (r[k:k + _SCATTER_BLOCK] - np.int64(lo)) % step
+        while off.size:
+            inside = off < length
+            off, step = off[inside], step[inside]
+            alive[off] = False
+            off += step
+    return alive
 
 
 # ---------------------------------------------------------------------------

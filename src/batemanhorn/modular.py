@@ -8,12 +8,16 @@ count off a Kronecker symbol of the discriminant (Tonelli-Shanks lists the
 roots).  Higher degrees take _gfpoly.linear_part = gcd(x^p - x, f) over
 GF(p): its degree is the count, and equal-degree splitting of it lists the
 roots (small p are brute-forced instead).
+
+_root_table solves degrees 1 and 2 for a whole array of primes at once, in
+int64 numpy lanes, and hands every other (f, p) to the same scalar path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -22,6 +26,8 @@ from .errors import IdenticallyZeroError, NotPrimeError
 from .poly import Polynomial
 
 _BRUTE_FORCE_LIMIT = 4096
+_LANES = 1 << 13  # primes per batch of _root_table
+_LANE_LIMIT = 1 << 31  # p below it keeps every lane product below 2^62
 
 
 @dataclass(frozen=True)
@@ -213,3 +219,157 @@ def _split_linear_product(g: list[int], p: int) -> list[int]:
             return _split_linear_product(part, p) + \
                 _split_linear_product(rest, p)
         shift += 1
+
+
+# ---------------------------------------------------------------------------
+# Batched root tables
+# ---------------------------------------------------------------------------
+
+def _root_table(polys: Sequence[Polynomial], prime_arrays: Iterable[np.ndarray]
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """(p, r): every root r mod p of every f in polys, for every prime p in
+    the ascending arrays given, sorted by p and then r, without repeats.
+
+    Both arrays are int32 while every p is below 2^31, int64 beyond.  Lanes
+    of degree 1 and 2 are solved in batches of 2^13 primes; the rest go
+    through _roots_of_reduced, one prime at a time.
+    """
+    ps, rs = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
+    for primes in prime_arrays:
+        for k in range(0, len(primes), _LANES):
+            p, r = _batch_roots(polys, primes[k:k + _LANES])
+            if p.size and p[-1] < _LANE_LIMIT:
+                p, r = p.astype(np.int32), r.astype(np.int32)
+            ps.append(p)
+            rs.append(r)
+    return np.concatenate(ps), np.concatenate(rs)
+
+
+def _batch_roots(polys: Sequence[Polynomial], primes: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """_root_table for one batch of primes, as int64 arrays."""
+    p = primes.astype(np.int64)
+    ps, rs = [], []
+    scalar_p, scalar_r = [], []
+    for f in polys:
+        scalar = (p <= 3) | (p >= _LANE_LIMIT) | (f.degree > 2)
+        lanes = np.flatnonzero(~scalar)
+        if lanes.size:
+            q, r, rest = _lane_roots(f.coeffs, p[lanes])
+            ps.append(q)
+            rs.append(r)
+            scalar[lanes[rest]] = True
+        for q in p[scalar].tolist():
+            roots = _roots_of_reduced(_reduce(f, q), q)
+            scalar_p.extend([q] * len(roots))
+            scalar_r.extend(roots)
+    p = np.concatenate([*ps, np.array(scalar_p, dtype=np.int64)])
+    r = np.concatenate([*rs, np.array(scalar_r, dtype=np.int64)])
+    order = np.lexsort((r, p))
+    p, r = p[order], r[order]
+    new = np.ones(p.size, dtype=bool)
+    new[1:] = (p[1:] != p[:-1]) | (r[1:] != r[:-1])
+    return p[new], r[new]
+
+
+def _lane_roots(coeffs: tuple[int, ...], p: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Roots of a polynomial of degree 1 or 2 modulo each prime 3 < p < 2^31.
+
+    Returns (q, r), one entry per root found, and the mask of the lanes of p
+    left to the scalar path: p divides the leading coefficient or, for
+    degree 2, the discriminant D.  Every root is checked to satisfy
+    f(r) = 0 (mod q), and every square root s of D to satisfy s^2 = D, so
+    an arithmetic fault raises instead of passing silently.
+    """
+    red = [_lanes_mod(c, p) for c in coeffs]
+    if len(coeffs) == 2:
+        rest = red[1] == 0
+        q = p[~rest]
+        red = [v[~rest] for v in red]
+        b, a = red
+        r = (q - b) * _lane_pow(a, q - 2, q) % q
+    else:
+        c0, b1, a2 = coeffs
+        disc = _lanes_mod(b1 * b1 - 4 * a2 * c0, p)
+        rest = (red[2] == 0) | (disc == 0)
+        lanes = np.flatnonzero(~rest)
+        q, disc = p[lanes], disc[lanes]
+        euler = _lane_pow(disc, (q - 1) // 2, q)
+        if np.any((euler != 1) & (euler != q - 1)):
+            raise ArithmeticError("Euler's criterion gave neither 1 nor -1")
+        split = euler == 1
+        lanes, q, disc = lanes[split], q[split], disc[split]
+        s = _lane_sqrt(disc, q)
+        if np.any(s * s % q != disc):
+            raise ArithmeticError("a lane square root failed its check")
+        c, b, a = [v[lanes] for v in red]
+        inv2a = _lane_pow(2 * a % q, q - 2, q)
+        r = np.concatenate([(q - b + s) % q * inv2a % q,
+                            (2 * q - b - s) % q * inv2a % q])
+        q = np.concatenate([q, q])
+        red = [np.concatenate([v, v]) for v in (c, b, a)]
+    acc = np.zeros_like(q)
+    for c in reversed(red):
+        acc = (acc * r + c) % q
+    if np.any(acc):
+        raise ArithmeticError("a lane root failed the check f(r) = 0 (mod p)")
+    return q, r, rest
+
+
+def _lanes_mod(c: int, p: np.ndarray) -> np.ndarray:
+    """c mod p lane by lane, for any integer c and primes p < 2^31."""
+    m = abs(c)
+    acc = np.zeros_like(p)
+    for shift in range(m.bit_length() // 31 * 31, -1, -31):
+        acc = ((acc << 31) + ((m >> shift) & (_LANE_LIMIT - 1))) % p
+    return acc if c >= 0 else (p - acc) % p
+
+
+def _lane_pow(base: np.ndarray, exp: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """base^exp mod p lane by lane, by square-and-multiply."""
+    result = np.ones_like(p)
+    exp = exp.copy()
+    while True:
+        result = np.where((exp & 1) == 1, result * base % p, result)
+        exp >>= 1
+        if not exp.any():
+            return result
+        base = base * base % p
+
+
+def _lane_sqrt(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """A square root of each quadratic residue a modulo odd prime p."""
+    s = np.empty_like(p)
+    easy = p % 4 == 3
+    s[easy] = _lane_pow(a[easy], (p[easy] + 1) // 4, p[easy])
+    hard = ~easy
+    s[hard] = _cipolla(a[hard], p[hard])
+    return s
+
+
+def _cipolla(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Cipolla's square root of the residue a modulo each prime p = 1 (mod 4).
+
+    With t such that w = t^2 - a is a nonresidue, (t + sqrt(w))^((p+1)/2)
+    in GF(p^2) = GF(p)[sqrt(w)] is a square root of a.  The first such t
+    from 1 upward is found lane by lane; half of all t qualify.
+    """
+    t = np.zeros_like(p)
+    w = np.empty_like(p)
+    todo = np.arange(p.size)
+    while todo.size:
+        t[todo] += 1
+        w[todo] = (t[todo] * t[todo] - a[todo]) % p[todo]
+        q = p[todo]
+        todo = todo[_lane_pow(w[todo], (q - 1) // 2, q) != q - 1]
+    x, y = np.ones_like(p), np.zeros_like(p)  # the power so far, x + y sqrt(w)
+    bx, by = t % p, np.ones_like(p)  # the base, squared each step
+    exp = (p + 1) // 2
+    while exp.any():
+        odd = (exp & 1) == 1
+        x, y = (np.where(odd, (x * bx % p + y * by % p * w) % p, x),
+                np.where(odd, (x * by % p + y * bx % p) % p, y))
+        bx, by = (bx * bx % p + by * by % p * w) % p, bx * by % p * 2 % p
+        exp >>= 1
+    return x

@@ -2,10 +2,12 @@
 
 primes_up_to streams a segmented sieve of Eratosthenes: numpy masks over
 fixed 2^20 segments, struck by the base primes that simple_sieve finds up to
-sqrt(limit).  Single-number testing is deterministic Miller-Rabin below
-2^64, with the first 1 to 12 primes as witnesses by size, and Baillie-PSW
-(strong base-2 Miller-Rabin plus a strong Lucas test with Selfridge
-parameters) above, where prime verdicts are tagged 'probable'.
+sqrt(limit); it yields from _prime_segments, the sieve itself, which hands
+over each segment's primes as one array.  Single-number testing is
+deterministic Miller-Rabin below 2^64, with the first 1 to 12 primes as
+witnesses by size, and Baillie-PSW (strong base-2 Miller-Rabin plus a strong
+Lucas test with Selfridge parameters) above, where prime verdicts are tagged
+'probable'.
 Composite verdicts are always certain: a failed Miller-Rabin round or a
 found factor is a proof.
 """
@@ -72,6 +74,15 @@ def primes_up_to(limit: int) -> Iterator[int]:
 
     Memory use is one segment plus the base primes up to sqrt(limit).
     """
+    for primes in _prime_segments(limit):
+        # A whole segment as Python ints would cost ~3 MB; 2^10 at a time.
+        for k in range(0, len(primes), 1 << 10):
+            yield from primes[k:k + (1 << 10)].tolist()
+        del primes  # free it before the next segment is sieved
+
+
+def _prime_segments(limit: int) -> Iterator[np.ndarray]:
+    """The primes <= limit as one ascending int64 array per 2^20 segment."""
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
     if limit > SIEVE_LIMIT_MAX:
@@ -87,8 +98,10 @@ def primes_up_to(limit: int) -> Iterator[int]:
         for p in base_primes:
             start = max(p * p, (lo + p - 1) // p * p)
             bits[start - lo::p] = False
-        for k in np.flatnonzero(bits):
-            yield lo + int(k)
+        primes = np.flatnonzero(bits)
+        primes += lo
+        del bits
+        yield primes
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Prediction integrals for polynomial systems, by adaptive Simpson.
 
 integrate_modified evaluates the exact-logarithm integral
-int dt / prod_i log f_i(t) from L = n0 + 1 up to x; integrate_original the
-asymptotic surrogate int_2^x dt / (log t)^M.  The n0 + 1 lower bound avoids
-the log f = 0 singularity at n0 itself and reproduces both published
-comparison tables; see the README note on integration bounds.  Before
-integrating, a real point in [n0 + 1, x] where some f_i reaches 1 is found
-exactly (poly.count_roots_between) and raises SingularIntegrandError.
+int dt / prod_i log f_i(t) from L = max(n0 + 1, 1) up to x;
+integrate_original the asymptotic surrogate int_2^x dt / (log t)^M.  The
+n0 + 1 lower bound avoids the log f = 0 singularity at n0 itself and
+reproduces both published comparison tables; it is raised to 1 when n0 is
+negative, because counts cover only n >= 1.  See the README note on
+integration bounds.  Before integrating, a real point in [L, x] where some
+f_i reaches 1 is found exactly (poly.count_roots_between) and raises
+SingularIntegrandError.
 
 Acceptance per subinterval is |S2 - S1| <= 15 * max(tol, tol * |S2|), i.e.
 absolute or relative tolerance, whichever is reached first; the absolute
@@ -41,11 +43,16 @@ class PredictionRow:
     rel_err_original: float | None = None
 
 
+def modified_lower_bound(system: PolySystem) -> int:
+    """L = max(n0 + 1, 1), where the modified integral starts."""
+    return max(system.n0 + 1, 1)
+
+
 def _check_no_dip(system: PolySystem, x: float) -> None:
     """Raise SingularIntegrandError when some f_i reaches 1 at a real point
-    in [n0 + 1, x].  Every f_i exceeds 1 at the integer n0 + 1, so that is
-    a root of f_i - 1 in (n0 + 1, x], decided exactly."""
-    lower = system.n0 + 1
+    in [L, x].  Every f_i exceeds 1 at the integer L > n0, so that is a
+    root of f_i - 1 in (L, x], decided exactly."""
+    lower = modified_lower_bound(system)
     for f in system.polys:
         shifted = [f.coeffs[0] - 1, *f.coeffs[1:]]
         if count_roots_between(shifted, lower, float(x)) > 0:
@@ -74,8 +81,8 @@ def _modified_integrand(system: PolySystem):
 
 def integrate_modified(system: PolySystem, x: float,
                        tol: float = DEFAULT_TOL) -> float:
-    """int_{n0+1}^{x} dt / prod_i log f_i(t)."""
-    lower = system.n0 + 1
+    """int_L^x dt / prod_i log f_i(t), L = max(n0 + 1, 1)."""
+    lower = modified_lower_bound(system)
     if x < lower:
         raise ValueError(f"x={x} is below the integral lower bound {lower}")
     if x == lower:
@@ -111,13 +118,13 @@ def predict(system: PolySystem, checkpoints: Sequence[int],
         raise ValueError("actuals must align with checkpoints")
     deg_product = math.prod(f.degree for f in system.polys)
     c_value = constant.value
-    lower_mod = float(system.n0 + 1)
+    lower_mod = float(modified_lower_bound(system))
     acc_mod = 0.0
     acc_orig = 0.0
     prev_mod = lower_mod
     prev_orig = 2.0
     rows = []
-    _check_no_dip(system, max(checkpoints, default=system.n0 + 1))
+    _check_no_dip(system, max(checkpoints, default=lower_mod))
     g_mod = _modified_integrand(system)
     m = system.m
     for j, x in enumerate(checkpoints):

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from batemanhorn import (
@@ -21,7 +22,7 @@ from batemanhorn import (
     primes_up_to,
     threshold_cutoff,
 )
-from batemanhorn import primality
+from batemanhorn import counting, primality
 
 CORPUS = (("n", "2*n+1"), ("6*n^2+1",), ("n", "n+2"), ("n^2+1",),
           ("2*n^2+3",))
@@ -111,7 +112,8 @@ def test_partition_and_presieve_invariance():
 def test_presieve_bound_and_worker_invariance(texts, x, expected):
     s = system(*texts)
     root = math.isqrt(max(evaluate(f, x) for f in s.polys))
-    for presieve in (0, 2, 97, root, root + 1, 10**5):
+    # None is the automatic bound; 2^18 exceeds the segment length
+    for presieve in (0, 2, 97, root, root + 1, 10**5, None, 2**18):
         for workers in (1, 2):
             cfg = EngineConfig(workers=workers, segment_size=2**17,
                                presieve_bound=presieve)
@@ -188,10 +190,6 @@ def test_proof_bound_is_strict(segment_size):
 
 
 def test_classify_never_called_beyond_n_star(monkeypatch):
-    s = system("n", "2*n+1")
-    x = 10**6
-    bound = math.isqrt(2 * x + 1) + 1   # effective bound below the default
-    n_star = threshold_cutoff(s, bound)
     seen = []
     classify = primality.classify
 
@@ -200,9 +198,55 @@ def test_classify_never_called_beyond_n_star(monkeypatch):
         return classify(v)
 
     monkeypatch.setattr(primality, "classify", counting_classify)
-    assert counts(s, [x]) == [7746]
-    assert seen
-    assert max(seen) <= 2 * n_star + 1
+    # The default bound is the full isqrt(max f(x)) + 1 for both systems,
+    # so the sieve proves every value past n_star.
+    for texts, x, expected in ((("n", "2*n+1"), 10**6, 7746),
+                               (("6*n^2+1",), 10**5, 9445)):
+        s = system(*texts)
+        top = max(evaluate(f, x) for f in s.polys)
+        n_star = threshold_cutoff(s, math.isqrt(top) + 1)
+        seen.clear()
+        assert counts(s, [x]) == [expected]
+        assert seen
+        assert max(seen) <= max(evaluate(f, n_star) for f in s.polys)
+
+
+@pytest.mark.parametrize("length", [4, 2**10, 2**17, 2**20])
+def test_scatter_marking_matches_slices(length):
+    rng = random.Random(length)
+    primes = list(primes_up_to(3 * length + 100))
+    picked = sorted(rng.sample(primes, min(300, len(primes))))
+    table = [(p, r) for p in picked
+             for r in sorted(rng.sample(range(p), min(p, rng.randint(1, 3))))]
+    p = np.array([e[0] for e in table], dtype=np.int32)
+    r = np.array([e[1] for e in table], dtype=np.int32)
+    # lo below every p, inside the range of p, and above every p
+    for lo in (1, length + 1, 2 * length + 7, 10**9 + 7):
+        reference = np.ones(length, dtype=bool)
+        for q, root in table:
+            reference[(root - lo) % q::q] = False
+        got = counting._sieve_segment((p, r), lo, length)
+        assert np.array_equal(got, reference), lo
+
+
+class _TableBuilt(Exception):
+    pass
+
+
+@pytest.mark.parametrize("texts,x,bound", [
+    (("6*n^2+1",), 10**5, math.isqrt(6 * 10**10 + 1) + 1),
+    (("6*n^2+1",), 10**8, 2**25),   # the cap on the automatic bound
+    (("n", "2*n+1"), 10**7, math.isqrt(2 * 10**7 + 1) + 1),
+    (("n^3+2",), 3 * 10**5, 10**5),  # degree 3 keeps 1e5
+])
+def test_automatic_presieve_bound(monkeypatch, texts, x, bound):
+    def spy(limit):
+        raise _TableBuilt(limit)
+
+    monkeypatch.setattr(primality, "_prime_segments", spy)
+    with pytest.raises(_TableBuilt) as built:
+        count_series(system(*texts), [x], SERIAL)
+    assert built.value.args == (bound,)
 
 
 # ---------------------------------------------------------------------------

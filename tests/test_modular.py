@@ -13,10 +13,12 @@ from batemanhorn import (
     kronecker,
     list_roots,
     parse_polynomial,
+    primes_up_to,
     simple_sieve,
     sqrt_mod,
 )
-from batemanhorn.modular import _root_count, _root_count_gcd
+from batemanhorn.modular import _root_count, _root_count_gcd, _root_table
+from batemanhorn.primality import _prime_segments
 
 PRIMES_TO_997 = [int(p) for p in np.flatnonzero(simple_sieve(997))]
 
@@ -246,3 +248,33 @@ def test_sqrt_mod_roundtrip():
                 assert pow(a, (p - 1) // 2, p) == p - 1
             else:
                 assert r * r % p == a % p
+
+
+# ---------------------------------------------------------------------------
+# batched root tables
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("texts", [
+    ("6*n^2+1",), ("n^2+1",), ("n^2-2",), ("3*n^2+n+1",), ("n", "2*n+1"),
+    ("n^2+n+41", "2*n+1"),
+    ("720720*n^2+1",),  # a leading coefficient with many divisors
+    ("9223372036854775807*n^2-9223372036854775806*n+9223372036854775805",),
+    ("n^3+2",),  # every lane on the scalar path
+])
+def test_root_table_matches_list_roots_below_1e5(texts):
+    polys = [parse_polynomial(t) for t in texts]
+    p, r = _root_table(polys, _prime_segments(10**5))
+    assert p.dtype == r.dtype == np.int32
+    expected = [(q, root) for q in primes_up_to(10**5) for root in
+                sorted({x for f in polys for x in list_roots(f, q).roots})]
+    assert list(zip(p.tolist(), r.tolist())) == expected
+
+
+def test_root_table_prime_above_2_31():
+    q = 2147483659  # the first prime above 2^31: int64 lanes would overflow
+    for text in ("2*n+1", "n^2+2", "n^2+n+41", "n^2+1", "n^3+2"):
+        f = parse_polynomial(text)
+        p, r = _root_table([f], [np.array([q])])
+        assert p.dtype == r.dtype == np.int64
+        assert p.tolist() == [q] * len(r), text
+        assert r.tolist() == list(list_roots(f, q).roots), text

@@ -141,21 +141,43 @@ def test_modified_over_original_ratio_at_1e10():
 
 def test_singular_integrand_detected():
     for text, x in [
-        # 25n^2 - 25n + 7 dips to 0.75 at t = 1/2 while every integer
-        # value is >= 7; its n0 is the clamp floor -2, so the interval
-        # [-1, 2] crosses the dip and the check must fire.
-        ("25*n^2-25*n+7", 2),
-        # below 1 only on (1/2 - 1e-6, 1/2 + 1e-6)
-        ("2000000000000*n^2-2000000000000*n+499999999999", 10),
-        # touches 1 at t = 1/2 and never goes below
-        ("400000000*n^2-400000000*n+100000001", 1000),
+        # 25n^2 - 75n + 57 dips to 0.75 at t = 3/2 while every integer
+        # value is >= 7; its n0 is the clamp floor -4, so the interval
+        # [1, 3] crosses the dip and the check must fire.
+        ("25*n^2-75*n+57", 3),
+        # below 1 only on (3/2 - 1e-6, 3/2 + 1e-6)
+        ("2000000000000*n^2-6000000000000*n+4499999999999", 10),
+        # touches 1 at t = 3/2 and never goes below
+        ("400000000*n^2-1200000000*n+900000001", 1000),
     ]:
         s = system(text)
-        assert s.n0 == -2
+        assert s.n0 == -4
         with pytest.raises(SingularIntegrandError):
             integrate_modified(s, x)
         with pytest.raises(SingularIntegrandError):
             predict(s, [x], bh_constant_naive(s, 100))
+
+
+@pytest.mark.parametrize("text,x", [
+    # n0 = -41: the integral once started at -40, where it gave 142
+    # against 86 actual primes below 100 (the fix gives 92)
+    ("n^2+n+41", 100),
+    # dips to 0.75 at t = 1/2, outside [1, 2]
+    ("25*n^2-25*n+7", 2),
+])
+def test_modified_integral_starts_at_one(text, x):
+    s = system(text)
+    assert s.n0 + 1 < 1
+
+    def g(t):
+        return 1 / math.log(sum(c * t ** k for k, c in
+                                enumerate(s.polys[0].coeffs)))
+
+    expected = gauss_legendre_oracle(g, 1.0, float(x))
+    assert integrate_modified(s, x) == pytest.approx(expected, rel=1e-8)
+    c = bh_constant_naive(s, 100)
+    row, = predict(s, [x], c)
+    assert row.modified == pytest.approx(c.value * expected, rel=1e-8)
 
 
 # ---------------------------------------------------------------------------
