@@ -302,8 +302,6 @@ def cmd_constant(args) -> int:
 def _checkpoints_from_args(args) -> list[int]:
     if args.checkpoints:
         cps = args.checkpoints
-        if any(a >= b for a, b in zip(cps, cps[1:])):
-            raise ValueError("checkpoints must be strictly ascending")
         if cps[-1] > args.x:
             raise ValueError(f"checkpoint {cps[-1]} exceeds --x {args.x}")
         return cps

@@ -11,9 +11,10 @@ the same kernel with no roots and B = 0, so every value there is tested.
 B = min(presieve_bound, isqrt(max_i f_i(x)) + 1): a larger bound would mark
 no composite value that a smaller prime misses.
 
-The root table is two arrays (p, r) sorted by p (modular._root_table).  In
-a segment of length L, a prime below L / 64 strikes slices; the larger ones
-are cleared by one batched scatter per block of table entries.
+The root table is a list of array pairs (p, r), one per segment of primes,
+each sorted by p (modular._root_table).  In a segment of length L, a prime
+below L / 64 strikes slices; the larger ones are cleared by one batched
+scatter per block of table entries.
 
 The automatic bound (presieve_bound None) follows what the table costs per
 prime, which the degrees decide.  Measured on a 2-core Xeon, CPython 3.11,
@@ -106,12 +107,9 @@ def count_series(system: PolySystem, checkpoints: Sequence[int],
     config = config or EngineConfig()
     if not system.admissible:
         raise InadmissibleSystemError(system.inadmissible_witness)
-    checkpoints = [int(c) for c in checkpoints]
+    checkpoints = _checked_checkpoints(checkpoints)
     if not checkpoints:
         return []
-    if checkpoints[0] < 1 or any(a >= b for a, b in
-                                 zip(checkpoints, checkpoints[1:])):
-        raise ValueError("checkpoints must be ascending and >= 1")
     x = checkpoints[-1]
     t0 = time.perf_counter()
     # evaluate also surfaces range overflow before any work happens
@@ -144,7 +142,7 @@ def count_series(system: PolySystem, checkpoints: Sequence[int],
     coeffs = tuple(f.coeffs for f in system.polys)
     direct_limit = min(max(0, threshold_cutoff(system, bound)), x)
     total = 0
-    direct = (coeffs, modular._root_table(system.polys, ()), 0)
+    direct = (coeffs, [], 0)
     for lo, hi in _chunk_bounds(1, direct_limit, config.segment_size):
         qualified, probable = _process_chunk_state(direct, (lo, hi))
         total = absorb(hi, qualified, probable, total)
@@ -166,8 +164,16 @@ def count_series(system: PolySystem, checkpoints: Sequence[int],
             for j, c in enumerate(checkpoints)]
 
 
+def _checked_checkpoints(checkpoints: Sequence[int]) -> list[int]:
+    """The checkpoints as ints, if they are strictly ascending and >= 1."""
+    checkpoints = [int(c) for c in checkpoints]
+    if any(a >= b for a, b in zip([0, *checkpoints], checkpoints)):
+        raise ValueError("checkpoints must be ascending and >= 1")
+    return checkpoints
+
+
 # ---------------------------------------------------------------------------
-# Root table and segment kernel
+# Segment kernel
 # ---------------------------------------------------------------------------
 
 def _chunk_bounds(start: int, stop: int,
@@ -182,7 +188,7 @@ def _process_chunk_state(state, bounds: tuple[int, int]
                          ) -> tuple[array, int | None]:
     """Sieve one segment [lo, hi] and test survivor values >= (B+1)^2.
 
-    state is (coefficients, root table (p, r) of every prime <= B, B).
+    state is (coefficients, root table of every prime <= B, B).
     Returns the qualified n, ascending (8 bytes each in an int64 array,
     not a list of ints), and the first of them that a probable verdict
     admitted (None if none did).
@@ -214,28 +220,28 @@ def _process_chunk_state(state, bounds: tuple[int, int]
     return qualified, probable
 
 
-def _sieve_segment(table: tuple[np.ndarray, np.ndarray], lo: int,
+def _sieve_segment(table: list[tuple[np.ndarray, np.ndarray]], lo: int,
                    length: int) -> np.ndarray:
-    """alive[k] is False iff lo + k = r (mod p) for some (p, r) in table.
+    """alive[k] is False iff lo + k = r (mod p) for a root r mod p in table.
 
     A prime below length / 64 strikes its slices one root at a time.  Each
     larger one hits at most 64 times, so they are cleared together by
     scatter: next-hit offsets, advanced by p until they leave the segment.
     Nothing carries over between segments.
     """
-    p, r = table
     alive = np.ones(length, dtype=bool)
-    small = int(np.count_nonzero(p < length // 64))  # p is ascending
-    for q, s in zip(p[:small].tolist(), r[:small].tolist()):
-        alive[(s - lo) % q::q] = False
-    for k in range(small, p.size, _SCATTER_BLOCK):
-        step = p[k:k + _SCATTER_BLOCK].astype(np.int64)
-        off = (r[k:k + _SCATTER_BLOCK] - np.int64(lo)) % step
-        while off.size:
-            inside = off < length
-            off, step = off[inside], step[inside]
-            alive[off] = False
-            off += step
+    for p, r in table:
+        small = int(np.count_nonzero(p < length // 64))  # p is ascending
+        for q, s in zip(p[:small].tolist(), r[:small].tolist()):
+            alive[(s - lo) % q::q] = False
+        for k in range(small, p.size, _SCATTER_BLOCK):
+            step = p[k:k + _SCATTER_BLOCK].astype(np.int64)
+            off = (r[k:k + _SCATTER_BLOCK] - np.int64(lo)) % step
+            while off.size:
+                inside = off < length
+                off, step = off[inside], step[inside]
+                alive[off] = False
+                off += step
     return alive
 
 

@@ -4,13 +4,15 @@ modulo a prime.
 The root count omega(p) of the system's product polynomial drives every local
 factor of the Euler product, and explicit root lists drive the counting
 engine's pre-sieve.  Degree 1 has a closed form, and degree 2 reads the
-count off a Kronecker symbol of the discriminant (Tonelli-Shanks lists the
-roots).  Higher degrees take _gfpoly.linear_part = gcd(x^p - x, f) over
-GF(p): its degree is the count, and equal-degree splitting of it lists the
-roots (small p are brute-forced instead).
+count off a Kronecker symbol of the discriminant D (sqrt_mod of D lists the
+roots: the (p+1)/4 exponent for p = 3 (mod 4), else Cipolla's method).
+Higher degrees take _gfpoly.linear_part = gcd(x^p - x, f) over GF(p): its
+degree is the count, and equal-degree splitting of it lists the roots
+(small p are brute-forced instead).
 
 _root_table solves degrees 1 and 2 for a whole array of primes at once, in
-int64 numpy lanes, and hands every other (f, p) to the same scalar path.
+int64 numpy lanes with the same square root (_cipolla), and hands every
+other (f, p) to the same scalar path.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .poly import Polynomial
 _BRUTE_FORCE_LIMIT = 4096
 _LANES = 1 << 13  # primes per batch of _root_table
 _LANE_LIMIT = 1 << 31  # p below it keeps every lane product below 2^62
+_CANDIDATES = 4  # values of t per lane and round in _cipolla's search
 
 
 @dataclass(frozen=True)
@@ -80,7 +83,10 @@ def kronecker(a: int, m: int) -> int:
 def sqrt_mod(a: int, p: int) -> int | None:
     """A square root of a modulo odd prime p, or None if a is a nonresidue.
 
-    Tonelli-Shanks, with the p = 3 (mod 4) direct exponent shortcut.
+    a^((p+1)/4) when p = 3 (mod 4), else Cipolla's method with the first
+    t = 1, 2, ... for which w = t^2 - a is a nonresidue: the root is
+    (t + sqrt(w))^((p+1)/2) in GF(p)[X]/(X^2 - w).  _lane_sqrt runs the same
+    steps in numpy lanes and returns the same root.
     """
     a %= p
     if a == 0:
@@ -89,30 +95,11 @@ def sqrt_mod(a: int, p: int) -> int | None:
         return None
     if p % 4 == 3:
         return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    c = pow(z, q, p)
-    x = pow(a, (q + 1) // 2, p)
-    t = pow(a, q, p)
-    m = s
-    while t != 1:
-        t2i = t
-        i = 0
-        for i in range(1, m):
-            t2i = t2i * t2i % p
-            if t2i == 1:
-                break
-        b = pow(c, 1 << (m - i - 1), p)
-        x = x * b % p
-        c = b * b % p
-        t = t * c % p
-        m = i
-    return x
+    t = 1
+    while pow((t * t - a) % p, (p - 1) // 2, p) != p - 1:
+        t += 1
+    w = (t * t - a) % p
+    return _gfpoly.pow_mod([t, 1], (p + 1) // 2, [-w % p, 0, 1], p)[0]
 
 
 def _require_prime(p: int) -> None:
@@ -157,7 +144,7 @@ def list_roots(f: Polynomial, p: int) -> RootSet:
     """All solutions of f(n) = 0 (mod p), materialized and sorted.
 
     Degrees 1 and 2 are solved by formula at every p (inverse, respectively
-    Tonelli-Shanks on the discriminant).  Higher degrees brute-force the
+    sqrt_mod of the discriminant).  Higher degrees brute-force the
     residues for p <= 4096 and use equal-degree splitting of
     gcd(x^p - x, f) above that.
     """
@@ -226,28 +213,27 @@ def _split_linear_product(g: list[int], p: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def _root_table(polys: Sequence[Polynomial], prime_arrays: Iterable[np.ndarray]
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """(p, r): every root r mod p of every f in polys, for every prime p in
-    the ascending arrays given, sorted by p and then r, without repeats.
+                ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """[(p, r), ...]: every root r mod p of every f in polys, one pair per
+    array of primes given, each sorted by p and then r, without repeats.
 
-    Both arrays are int32 while every p is below 2^31, int64 beyond.  Lanes
+    The arrays are int32 while every p is below 2^31, int64 beyond.  Lanes
     of degree 1 and 2 are solved in batches of 2^13 primes; the rest go
-    through _roots_of_reduced, one prime at a time.
+    through _roots_of_reduced, one prime at a time.  Each batch is narrowed
+    before its segment's one concatenation, so the table never exists twice.
     """
-    ps, rs = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
+    table = []
     for primes in prime_arrays:
-        for k in range(0, len(primes), _LANES):
-            p, r = _batch_roots(polys, primes[k:k + _LANES])
-            if p.size and p[-1] < _LANE_LIMIT:
-                p, r = p.astype(np.int32), r.astype(np.int32)
-            ps.append(p)
-            rs.append(r)
-    return np.concatenate(ps), np.concatenate(rs)
+        batches = [_batch_roots(polys, primes[k:k + _LANES])
+                   for k in range(0, len(primes), _LANES)]
+        if batches:
+            table.append(tuple(np.concatenate(a) for a in zip(*batches)))
+    return table
 
 
 def _batch_roots(polys: Sequence[Polynomial], primes: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """_root_table for one batch of primes, as int64 arrays."""
+    """_root_table for one batch of primes, int32 if they are below 2^31."""
     p = primes.astype(np.int64)
     ps, rs = [], []
     scalar_p, scalar_r = [], []
@@ -269,7 +255,10 @@ def _batch_roots(polys: Sequence[Polynomial], primes: np.ndarray
     p, r = p[order], r[order]
     new = np.ones(p.size, dtype=bool)
     new[1:] = (p[1:] != p[:-1]) | (r[1:] != r[:-1])
-    return p[new], r[new]
+    p, r = p[new], r[new]
+    if primes[-1] >= _LANE_LIMIT:
+        return p, r
+    return p.astype(np.int32), r.astype(np.int32)
 
 
 def _lane_roots(coeffs: tuple[int, ...], p: np.ndarray
@@ -282,7 +271,7 @@ def _lane_roots(coeffs: tuple[int, ...], p: np.ndarray
     f(r) = 0 (mod q), and every square root s of D to satisfy s^2 = D, so
     an arithmetic fault raises instead of passing silently.
     """
-    red = [_lanes_mod(c, p) for c in coeffs]
+    red = [c % p for c in coeffs]  # int64 coefficients: exact in lanes
     if len(coeffs) == 2:
         rest = red[1] == 0
         q = p[~rest]
@@ -290,9 +279,9 @@ def _lane_roots(coeffs: tuple[int, ...], p: np.ndarray
         b, a = red
         r = (q - b) * _lane_pow(a, q - 2, q) % q
     else:
-        c0, b1, a2 = coeffs
-        disc = _lanes_mod(b1 * b1 - 4 * a2 * c0, p)
-        rest = (red[2] == 0) | (disc == 0)
+        c, b, a = red
+        disc = (b * b - 4 * a % p * c) % p  # every product below 2^62
+        rest = (a == 0) | (disc == 0)
         lanes = np.flatnonzero(~rest)
         q, disc = p[lanes], disc[lanes]
         euler = _lane_pow(disc, (q - 1) // 2, q)
@@ -317,15 +306,6 @@ def _lane_roots(coeffs: tuple[int, ...], p: np.ndarray
     return q, r, rest
 
 
-def _lanes_mod(c: int, p: np.ndarray) -> np.ndarray:
-    """c mod p lane by lane, for any integer c and primes p < 2^31."""
-    m = abs(c)
-    acc = np.zeros_like(p)
-    for shift in range(m.bit_length() // 31 * 31, -1, -31):
-        acc = ((acc << 31) + ((m >> shift) & (_LANE_LIMIT - 1))) % p
-    return acc if c >= 0 else (p - acc) % p
-
-
 def _lane_pow(base: np.ndarray, exp: np.ndarray, p: np.ndarray) -> np.ndarray:
     """base^exp mod p lane by lane, by square-and-multiply."""
     result = np.ones_like(p)
@@ -343,26 +323,31 @@ def _lane_sqrt(a: np.ndarray, p: np.ndarray) -> np.ndarray:
     s = np.empty_like(p)
     easy = p % 4 == 3
     s[easy] = _lane_pow(a[easy], (p[easy] + 1) // 4, p[easy])
-    hard = ~easy
-    s[hard] = _cipolla(a[hard], p[hard])
+    s[~easy] = _cipolla(a[~easy], p[~easy])
     return s
 
 
 def _cipolla(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Cipolla's square root of the residue a modulo each prime p = 1 (mod 4).
+    """Cipolla's square root of the residue a modulo each prime p = 1 (mod 4),
+    the lane form of sqrt_mod's, with the same t and so the same root.
 
-    With t such that w = t^2 - a is a nonresidue, (t + sqrt(w))^((p+1)/2)
-    in GF(p^2) = GF(p)[sqrt(w)] is a square root of a.  The first such t
-    from 1 upward is found lane by lane; half of all t qualify.
+    Each round tests the next _CANDIDATES values of t on every lane still
+    searching, in one stacked _lane_pow; a lane keeps its first hit.  Half
+    of all t qualify, so a round leaves about 1/16 of the lanes searching.
     """
     t = np.zeros_like(p)
-    w = np.empty_like(p)
     todo = np.arange(p.size)
+    first = 1
     while todo.size:
-        t[todo] += 1
-        w[todo] = (t[todo] * t[todo] - a[todo]) % p[todo]
+        cand = np.arange(first, first + _CANDIDATES, dtype=p.dtype)[:, None]
         q = p[todo]
-        todo = todo[_lane_pow(w[todo], (q - 1) // 2, q) != q - 1]
+        w = (cand * cand - a[todo]) % q  # one row per candidate t
+        hit = _lane_pow(w, (q - 1) // 2, q) == q - 1
+        found = hit.any(axis=0)
+        t[todo[found]] = cand[hit.argmax(axis=0)[found], 0]
+        todo = todo[~found]
+        first += _CANDIDATES
+    w = (t * t - a) % p
     x, y = np.ones_like(p), np.zeros_like(p)  # the power so far, x + y sqrt(w)
     bx, by = t % p, np.ones_like(p)  # the base, squared each step
     exp = (p + 1) // 2

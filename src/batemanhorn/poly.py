@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -400,10 +401,15 @@ def irreducibility_evidence(f: Polynomial) -> str:
             continue
         if _gfpoly.is_irreducible([c % p for c in f.coeffs], p):
             return "certified"
+    # The warning names the first caller outside this package, also when
+    # build_system is the one that asked.
+    frame, level = sys._getframe(1), 2
+    while frame.f_back and frame.f_globals.get("__package__") == __package__:
+        frame, level = frame.f_back, level + 1
     warnings.warn(
         f"no irreducibility certificate found for {f}; proceeding on the "
         f"heuristic that it is irreducible (it has no linear factor, but a "
-        f"factor of degree >= 2 is not ruled out)", stacklevel=2)
+        f"factor of degree >= 2 is not ruled out)", stacklevel=level)
     return "heuristic"
 
 

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .counting import CountResult
+from .counting import CountResult, _checked_checkpoints
 from .errors import SingularIntegrandError, ToleranceNotMetError
 from .constants import EulerProductResult
 from .poly import PolySystem, _eval_exact, count_roots_between
@@ -113,7 +113,7 @@ def predict(system: PolySystem, checkpoints: Sequence[int],
             tol: float = DEFAULT_TOL) -> list[PredictionRow]:
     """Model values (and relative errors, when actual counts are supplied)
     at each checkpoint, accumulating the integrals incrementally."""
-    checkpoints = [int(c) for c in checkpoints]
+    checkpoints = _checked_checkpoints(checkpoints)
     if actuals is not None and len(actuals) != len(checkpoints):
         raise ValueError("actuals must align with checkpoints")
     deg_product = math.prod(f.degree for f in system.polys)

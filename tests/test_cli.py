@@ -215,6 +215,8 @@ def test_usage_errors_exit_4(capsys):
                     "--segment-size", "1000")[0] == 4
     assert run_main(capsys, "count", "--poly", "n", "--x", "100",
                     "--checkpoints", "1000,2000")[0] == 4
+    assert run_main(capsys, "predict", "--poly", "n", "--x", "100",
+                    "--checkpoints", "0,100")[0] == 4
     for tol in ("nan", "inf"):
         assert run_main(capsys, "predict", "--poly", "6*n^2+1", "--x", "100",
                         "--tol", tol)[0] == 4, tol

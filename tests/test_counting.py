@@ -109,15 +109,29 @@ def test_partition_and_presieve_invariance():
     # dips to the prime 97 at n = 2000, past the old scan's reach
     (("(n-2000)^2*(n+2)+97",), 2010, 47),
 ])
-def test_presieve_bound_and_worker_invariance(texts, x, expected):
+def test_presieve_bound_and_worker_invariance(monkeypatch, texts, x, expected):
     s = system(*texts)
+    # Each segment size leaves at least two sieved chunks, so workers=2 runs
+    # a pool.  The dip input needs 2^3: past n_star = 2000 only 2001..2010
+    # are sieved for every bound >= 97 (at 2^17 one chunk, and no pool).
+    segment = {10**6: 2**17, 10**5: 2**15, 2010: 2**3}[x]
     root = math.isqrt(max(evaluate(f, x) for f in s.polys))
+    pools = []
+    run_pool = counting._run_pool
+
+    def spy(state, chunks, workers):
+        pools.append(len(chunks))
+        return run_pool(state, chunks, workers)
+
+    monkeypatch.setattr(counting, "_run_pool", spy)
     # None is the automatic bound; 2^18 exceeds the segment length
     for presieve in (0, 2, 97, root, root + 1, 10**5, None, 2**18):
         for workers in (1, 2):
-            cfg = EngineConfig(workers=workers, segment_size=2**17,
+            cfg = EngineConfig(workers=workers, segment_size=segment,
                                presieve_bound=presieve)
+            del pools[:]
             assert counts(s, [x], cfg) == [expected], (presieve, workers)
+            assert len(pools) == (workers == 2), (presieve, workers)
 
 
 def test_worker_invariance():
@@ -225,7 +239,10 @@ def test_scatter_marking_matches_slices(length):
         reference = np.ones(length, dtype=bool)
         for q, root in table:
             reference[(root - lo) % q::q] = False
-        got = counting._sieve_segment((p, r), lo, length)
+        # two pairs of arrays, as _root_table gives one per prime segment
+        k = len(table) // 2
+        got = counting._sieve_segment([(p[:k], r[:k]), (p[k:], r[k:])],
+                                      lo, length)
         assert np.array_equal(got, reference), lo
 
 

@@ -17,6 +17,7 @@ from batemanhorn import (
     simple_sieve,
     sqrt_mod,
 )
+from batemanhorn import modular
 from batemanhorn.modular import _root_count, _root_count_gcd, _root_table
 from batemanhorn.primality import _prime_segments
 
@@ -250,6 +251,23 @@ def test_sqrt_mod_roundtrip():
                 assert r * r % p == a % p
 
 
+def test_sqrt_mod_equals_lane_sqrt():
+    # The scalar and lane forms pick the same t, hence the same root.
+    rng = random.Random(7)
+    p = np.array([q for q in primes_up_to(10**5) if q >= 5], dtype=np.int64)
+    a = np.array([pow(rng.randrange(1, q), 2, q) for q in p.tolist()],
+                 dtype=np.int64)
+    lanes = modular._lane_sqrt(a, p)
+    assert lanes.tolist() == [sqrt_mod(x, q) for x, q in
+                              zip(a.tolist(), p.tolist())]
+    # some p = 1 (mod 4) lane found no nonresidue t^2 - a in the first
+    # round of candidates, so the search's retry path ran
+    assert any(q % 4 == 1 and all(
+        pow((t * t - x) % q, (q - 1) // 2, q) != q - 1
+        for t in range(1, modular._CANDIDATES + 1))
+        for x, q in zip(a.tolist(), p.tolist()))
+
+
 # ---------------------------------------------------------------------------
 # batched root tables
 # ---------------------------------------------------------------------------
@@ -263,7 +281,7 @@ def test_sqrt_mod_roundtrip():
 ])
 def test_root_table_matches_list_roots_below_1e5(texts):
     polys = [parse_polynomial(t) for t in texts]
-    p, r = _root_table(polys, _prime_segments(10**5))
+    [(p, r)] = _root_table(polys, _prime_segments(10**5))
     assert p.dtype == r.dtype == np.int32
     expected = [(q, root) for q in primes_up_to(10**5) for root in
                 sorted({x for f in polys for x in list_roots(f, q).roots})]
@@ -274,7 +292,7 @@ def test_root_table_prime_above_2_31():
     q = 2147483659  # the first prime above 2^31: int64 lanes would overflow
     for text in ("2*n+1", "n^2+2", "n^2+n+41", "n^2+1", "n^3+2"):
         f = parse_polynomial(text)
-        p, r = _root_table([f], [np.array([q])])
+        [(p, r)] = _root_table([f], [np.array([q])])
         assert p.dtype == r.dtype == np.int64
         assert p.tolist() == [q] * len(r), text
         assert r.tolist() == list(list_roots(f, q).roots), text

@@ -378,6 +378,15 @@ def test_irreducibility_heuristic_warns():
             "heuristic"
 
 
+def test_irreducibility_warning_names_the_caller():
+    # the first frame outside the package, not a line of build_system
+    for check in (lambda f: build_system([f]), irreducibility_evidence):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            check(parse_polynomial("n^4+1"))
+        assert [w.filename for w in caught] == [__file__]
+
+
 def test_irreducibility_rational_roots_fail_hard():
     for text in ["n^2-4", "n^3-n^2-4*n+4", "4*n^2-1", "n^5-32",
                  # root 1/a, a with far more than 20000 divisors

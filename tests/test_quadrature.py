@@ -188,6 +188,15 @@ def test_predict_empty():
     assert predict(system("n"), [], bh_constant_naive(system("n"), 100)) == []
 
 
+def test_predict_rejects_unordered_checkpoints():
+    # the same rule and message as count_series: strictly ascending, >= 1
+    s = system("n", "2*n+1")
+    c = bh_constant_naive(s, 10**3)
+    for cps in ([1000, 100], [100, 100], [0, 100], [-5]):
+        with pytest.raises(ValueError, match="ascending and >= 1"):
+            predict(s, cps, c)
+
+
 def test_predict_sophie_germain_columns():
     s = system("n", "2*n+1")
     c = bh_constant_naive(s, 10**6)
