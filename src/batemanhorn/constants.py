@@ -22,12 +22,7 @@ import math
 from dataclasses import dataclass
 
 from . import modular, primality
-from .errors import (
-    InadmissibleSystemError,
-    NotFundamentalError,
-    NotNegativeError,
-    NotQuadraticError,
-)
+from .errors import NotFundamentalError, NotNegativeError, NotQuadraticError
 from .poly import Polynomial, PolySystem, build_system
 
 NAIVE = "naive"
@@ -61,8 +56,6 @@ def bh_constant(system: PolySystem, truncation: int) -> EulerProductResult:
 
 def bh_constant_naive(system: PolySystem, truncation: int) -> EulerProductResult:
     """Directly truncated Euler product over all primes <= truncation."""
-    if not system.admissible:
-        raise InadmissibleSystemError(system.inadmissible_witness)
     return _euler_product(system, truncation, None)
 
 

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 import os
-import time
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -45,7 +44,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import modular, primality
-from .errors import InadmissibleSystemError, RangeOverflowError
+from .errors import RangeOverflowError
 from .poly import (I128_MAX, PolySystem, _eval_exact, evaluate,
                    threshold_cutoff)
 
@@ -55,7 +54,6 @@ class CountResult:
     x: int
     count: int
     certainty: str
-    elapsed: float
 
 
 # The automatic pre-sieve limits; see the module docstring.
@@ -105,13 +103,10 @@ def count_series(system: PolySystem, checkpoints: Sequence[int],
                  ) -> list[CountResult]:
     """One CountResult per checkpoint, all computed in a single sweep."""
     config = config or EngineConfig()
-    if not system.admissible:
-        raise InadmissibleSystemError(system.inadmissible_witness)
     checkpoints = _checked_checkpoints(checkpoints)
     if not checkpoints:
         return []
     x = checkpoints[-1]
-    t0 = time.perf_counter()
     # evaluate also surfaces range overflow before any work happens
     top = max(evaluate(f, x) for f in system.polys)
     limit = config.presieve_bound
@@ -121,9 +116,7 @@ def count_series(system: PolySystem, checkpoints: Sequence[int],
     bound = min(limit, math.isqrt(max(0, top)) + 1)
 
     counts = [0] * len(checkpoints)
-    elapsed = [0.0] * len(checkpoints)
     certainty = [primality.DETERMINISTIC] * len(checkpoints)
-    done = [False] * len(checkpoints)
 
     def absorb(hi: int, qualified: array, probable: int | None,
                running_total: int) -> int:
@@ -131,9 +124,6 @@ def count_series(system: PolySystem, checkpoints: Sequence[int],
             counts[j] += bisect_right(qualified, c)
             if probable is not None and probable <= c:
                 certainty[j] = primality.PROBABLE
-            if not done[j] and hi >= c:
-                done[j] = True
-                elapsed[j] = time.perf_counter() - t0
         running_total += len(qualified)
         if progress is not None:
             progress(min(hi, x), running_total)
@@ -159,8 +149,7 @@ def count_series(system: PolySystem, checkpoints: Sequence[int],
         for (_, hi), (qualified, probable) in zip(chunks, results):
             total = absorb(hi, qualified, probable, total)
 
-    return [CountResult(x=c, count=counts[j], certainty=certainty[j],
-                        elapsed=elapsed[j])
+    return [CountResult(x=c, count=counts[j], certainty=certainty[j])
             for j, c in enumerate(checkpoints)]
 
 

@@ -6,9 +6,10 @@ range and evaluation in the signed 128-bit range; both limits are enforced
 explicitly (arithmetic itself is exact Python integers).
 
 A PolySystem bundles an ordered tuple of distinct polynomials with the derived
-data the prediction machinery needs: the product polynomial, the admissibility
-verdict, the integer threshold n0 past which every polynomial exceeds 1, and
-per-polynomial irreducibility evidence.
+data the prediction machinery needs: the product polynomial, the integer
+threshold n0 past which every polynomial exceeds 1, and per-polynomial
+irreducibility evidence.  Every PolySystem is admissible: build_system
+raises InadmissibleSystemError for a system that is not.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 import re
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -295,14 +296,13 @@ class _Parser:
 
 @dataclass(frozen=True)
 class PolySystem:
-    """Ordered system of distinct polynomials plus derived data."""
+    """Ordered system of distinct polynomials plus derived data.  Always
+    admissible: build_system raises InadmissibleSystemError otherwise."""
 
     polys: tuple[Polynomial, ...]
     product: Polynomial
     n0: int
-    admissible: bool
     irreducibility_evidence: tuple[str, ...]
-    inadmissible_witness: int | None = field(default=None)
 
     @property
     def m(self) -> int:
@@ -313,14 +313,13 @@ class PolySystem:
         return "{" + ", ".join(str(f) for f in self.polys) + "}"
 
 
-def build_system(polys: Iterable[Polynomial], *,
-                 require_admissible: bool = True) -> PolySystem:
+def build_system(polys: Iterable[Polynomial]) -> PolySystem:
     """Validate a polynomial system and compute its derived data.
 
     Raises DuplicatePolynomialError, IrreducibilityError (a certified
     factorization exists), RangeOverflowError (product coefficients leave the
-    64-bit range) and, unless ``require_admissible=False``,
-    InadmissibleSystemError carrying the witnessing prime.
+    64-bit range) and InadmissibleSystemError, carrying the witnessing prime
+    as ``witness``, so every PolySystem returned is admissible.
     """
     polys = tuple(polys)
     if not polys:
@@ -339,14 +338,12 @@ def build_system(polys: Iterable[Polynomial], *,
     product = Polynomial(tuple(prod))
 
     witness = _inadmissibility_witness(product)
-    admissible = witness is None
-    if not admissible and require_admissible:
+    if witness is not None:
         raise InadmissibleSystemError(witness)
 
     n0 = _threshold_cutoff(polys, 1)
     return PolySystem(polys=polys, product=product, n0=n0,
-                      admissible=admissible, irreducibility_evidence=evidence,
-                      inadmissible_witness=witness)
+                      irreducibility_evidence=evidence)
 
 
 def _inadmissibility_witness(product: Polynomial) -> int | None:
@@ -402,9 +399,11 @@ def irreducibility_evidence(f: Polynomial) -> str:
         if _gfpoly.is_irreducible([c % p for c in f.coeffs], p):
             return "certified"
     # The warning names the first caller outside this package, also when
-    # build_system is the one that asked.
+    # build_system is the one that asked; under `python -m batemanhorn` that
+    # caller is runpy's frozen bootstrap, so it names __main__.py instead.
     frame, level = sys._getframe(1), 2
-    while frame.f_back and frame.f_globals.get("__package__") == __package__:
+    while (frame.f_back and frame.f_globals.get("__package__") == __package__
+           and not frame.f_back.f_code.co_filename.startswith("<frozen")):
         frame, level = frame.f_back, level + 1
     warnings.warn(
         f"no irreducibility certificate found for {f}; proceeding on the "

@@ -79,32 +79,28 @@ def _modified_integrand(system: PolySystem):
     return g
 
 
+def _original_integrand(m: int):
+    return lambda t: 1.0 / math.log(t) ** m
+
+
+def _integral(g, lower: int, x: float, tol: float) -> float:
+    if x < lower:
+        raise ValueError(f"x={x} is below the integral lower bound {lower}")
+    return _cumulative(g, lower, [x], tol)[0]
+
+
 def integrate_modified(system: PolySystem, x: float,
                        tol: float = DEFAULT_TOL) -> float:
     """int_L^x dt / prod_i log f_i(t), L = max(n0 + 1, 1)."""
-    lower = modified_lower_bound(system)
-    if x < lower:
-        raise ValueError(f"x={x} is below the integral lower bound {lower}")
-    if x == lower:
-        return 0.0
     _check_no_dip(system, x)
-    return _adaptive_simpson(_modified_integrand(system), float(lower),
-                             float(x), tol)
+    return _integral(_modified_integrand(system), modified_lower_bound(system),
+                     x, tol)
 
 
 def integrate_original(system: PolySystem, x: float,
                        tol: float = DEFAULT_TOL) -> float:
     """int_2^x dt / (log t)^M; the caller scales by C / prod deg f_i."""
-    m = system.m
-    if x < 2:
-        raise ValueError(f"x={x} is below the integral lower bound 2")
-    if x == 2:
-        return 0.0
-
-    def g(t: float) -> float:
-        return 1.0 / math.log(t) ** m
-
-    return _adaptive_simpson(g, 2.0, float(x), tol)
+    return _integral(_original_integrand(system.m), 2, x, tol)
 
 
 def predict(system: PolySystem, checkpoints: Sequence[int],
@@ -118,25 +114,14 @@ def predict(system: PolySystem, checkpoints: Sequence[int],
         raise ValueError("actuals must align with checkpoints")
     deg_product = math.prod(f.degree for f in system.polys)
     c_value = constant.value
-    lower_mod = float(modified_lower_bound(system))
-    acc_mod = 0.0
-    acc_orig = 0.0
-    prev_mod = lower_mod
-    prev_orig = 2.0
+    lower = modified_lower_bound(system)
+    _check_no_dip(system, max(checkpoints, default=lower))
+    mods = _cumulative(_modified_integrand(system), lower, checkpoints, tol)
+    origs = _cumulative(_original_integrand(system.m), 2, checkpoints, tol)
     rows = []
-    _check_no_dip(system, max(checkpoints, default=lower_mod))
-    g_mod = _modified_integrand(system)
-    m = system.m
     for j, x in enumerate(checkpoints):
-        if x > prev_mod:
-            acc_mod += _adaptive_simpson(g_mod, prev_mod, float(x), tol)
-            prev_mod = float(x)
-        if x > prev_orig:
-            acc_orig += _adaptive_simpson(
-                lambda t: 1.0 / math.log(t) ** m, prev_orig, float(x), tol)
-            prev_orig = float(x)
-        modified = c_value * acc_mod
-        original = c_value / deg_product * acc_orig
+        modified = c_value * mods[j]
+        original = c_value / deg_product * origs[j]
         actual = rel_m = rel_o = None
         if actuals is not None:
             actual = actuals[j].count
@@ -160,6 +145,19 @@ def round_half_away(v: float) -> int:
 # ---------------------------------------------------------------------------
 # Adaptive Simpson
 # ---------------------------------------------------------------------------
+
+def _cumulative(g, lower: int, xs: Sequence[float],
+                tol: float) -> list[float]:
+    """int_lower^x g for each x of the ascending xs (0.0 for x <= lower),
+    one Simpson run per gap between consecutive points."""
+    totals, acc, prev = [], 0.0, float(lower)
+    for x in xs:
+        if x > prev:
+            acc += _adaptive_simpson(g, prev, float(x), tol)
+            prev = float(x)
+        totals.append(acc)
+    return totals
+
 
 def _adaptive_simpson(g, a: float, b: float, tol: float) -> float:
     if not 0 < tol < math.inf:  # also rejects nan

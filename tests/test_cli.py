@@ -1,9 +1,10 @@
+import os
 import subprocess
 import sys
 
 import pytest
 
-from batemanhorn import cli
+from batemanhorn import cli, counting
 from batemanhorn.cli import main
 
 
@@ -155,6 +156,40 @@ def test_table_csv_roundtrip_bit_exact(capsys):
         assert float(cells[5]) == row.rel_err_original
 
 
+def test_predict_csv_roundtrip_bit_exact(capsys):
+    code, out, _ = run_main(capsys, "predict", "--poly", "6*n^2+1",
+                            "--x", "1e4", "--format", "csv",
+                            "--truncate", "1e5")
+    assert code == 0
+    lines = [l for l in out.splitlines() if l and not l.startswith("#")]
+    assert lines[0] == "x,modified,original"
+    from batemanhorn import (bh_constant_accelerated, build_system,
+                             parse_polynomial, predict)
+    s = build_system([parse_polynomial("6*n^2+1")])
+    c = bh_constant_accelerated(s.polys[0], 10**5)
+    rows = predict(s, [100, 1000, 10000], c)
+    assert len(lines) == 1 + len(rows)
+    for line, row in zip(lines[1:], rows):
+        x, modified, original = line.split(",")
+        assert int(x) == row.x
+        assert float(modified) == row.modified
+        assert float(original) == row.original
+
+
+def test_tsv_header(capsys):
+    code, out, _ = run_main(capsys, "count", "--poly", "n", "--x", "100",
+                            "--workers", "1", "--format", "tsv")
+    assert code == 0
+    assert out.splitlines()[:2] == ["x\tcount", "100\t25"]
+
+
+def test_progress_reaches_100_percent(capsys):
+    code, _, err = run_main(capsys, "count", "--poly", "n", "--x", "1000",
+                            "--workers", "1", "--progress")
+    assert code == 0
+    assert "100.0%" in err
+
+
 def test_workers_output_byte_identical(capsys):
     args = ["table", "--poly", "n", "--poly", "2*n+1", "--x", "1e4",
             "--segment-size", "1024"]
@@ -166,9 +201,21 @@ def test_workers_output_byte_identical(capsys):
 
 def test_bh_workers_env(capsys, monkeypatch):
     monkeypatch.setenv("BH_WORKERS", "2")
-    code, out, _ = run_main(capsys, "count", "--poly", "n", "--x", "100")
+    pools = []
+    run_pool = counting._run_pool
+
+    def spy(state, chunks, workers):
+        pools.append((len(chunks), workers))
+        return run_pool(state, chunks, workers)
+
+    monkeypatch.setattr(counting, "_run_pool", spy)
+    # the direct phase ends at n = 11 (B = isqrt(100) + 1); 12..100 is
+    # sieved in six chunks of 16
+    code, out, _ = run_main(capsys, "count", "--poly", "n", "--x", "100",
+                            "--segment-size", "16")
     assert code == 0
     assert "| 25" in out
+    assert pools == [(6, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +267,15 @@ def test_usage_errors_exit_4(capsys):
     for tol in ("nan", "inf"):
         assert run_main(capsys, "predict", "--poly", "6*n^2+1", "--x", "100",
                         "--tol", tol)[0] == 4, tol
+    code, _, err = run_main(capsys, "reproduce", "1", "--cap", "10")
+    assert code == 4 and "excludes every reference row" in err
+
+
+def test_quadratic_acceleration_needs_one_polynomial(capsys):
+    code, _, err = run_main(capsys, "constant", "--poly", "n",
+                            "--poly", "2*n+1", "--accelerate", "quadratic")
+    assert code == 2
+    assert "needs a single polynomial" in err
 
 
 @pytest.mark.parametrize("text,value", [
@@ -244,6 +300,20 @@ def test_help_exits_0(capsys):
     code, out, _ = run_main(capsys, "table", "--help")
     assert code == 0
     assert "--checkpoints" in out
+
+
+def test_module_entry_point_warning_names_main():
+    # under python -m the first frame outside the package is runpy's
+    # frozen bootstrap, which has no source line to show
+    proc = subprocess.run(
+        [sys.executable, "-W", "always", "-m", "batemanhorn", "constant",
+         "--poly", "n^4+1", "--truncate", "100"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert "<frozen" not in proc.stderr
+    path, line = proc.stderr.split(": UserWarning")[0].rsplit(":", 1)
+    assert os.path.basename(path) == "__main__.py", proc.stderr
+    assert os.path.isfile(path) and int(line) > 0
 
 
 def test_module_entry_point():

@@ -53,10 +53,10 @@ def test_naive_6n2_is_only_loosely_converged():
 
 
 def test_naive_rejects_inadmissible():
-    s = build_system([parse_polynomial("n"), parse_polynomial("n+1")],
-                     require_admissible=False)
-    with pytest.raises(InadmissibleSystemError):
-        bh_constant_naive(s, 100)
+    # no PolySystem is inadmissible, so the product never starts
+    with pytest.raises(InadmissibleSystemError) as exc:
+        bh_constant_naive(system("n", "n+1"), 100)
+    assert exc.value.witness == 2
 
 
 def test_naive_rejects_bad_truncation():

@@ -19,6 +19,7 @@ from batemanhorn import (
 )
 from batemanhorn import modular
 from batemanhorn.modular import _root_count, _root_count_gcd, _root_table
+from batemanhorn.poly import _inadmissibility_witness
 from batemanhorn.primality import _prime_segments
 
 PRIMES_TO_997 = [int(p) for p in np.flatnonzero(simple_sieve(997))]
@@ -216,23 +217,29 @@ def test_list_roots_brute_force_around_4096(text):
 
 
 def test_union_bound_on_products():
+    # any f and g: reducible, equal or inadmissible pairs need no system
     rng = random.Random(31)
+    checked = inadmissible = 0
     for _ in range(60):
         f = random_poly(rng, max_degree=2, bound=9)
         g = random_poly(rng, max_degree=2, bound=9)
-        try:
-            s = build_system([f, g], require_admissible=False)
-        except Exception:
-            continue
+        prod = [0] * (f.degree + g.degree + 1)
+        for i, a in enumerate(f.coeffs):
+            for j, b in enumerate(g.coeffs):
+                prod[i + j] += a * b
+        product = Polynomial(tuple(prod))
         p = rng.choice(PRIMES_TO_997)
-        if any(all(c % p == 0 for c in h.coeffs) for h in (f, g, s.product)):
+        if any(all(c % p == 0 for c in h.coeffs) for h in (f, g, product)):
             continue
         rf, rg = set(list_roots(f, p).roots), set(list_roots(g, p).roots)
-        omega_product = count_roots(s.product, p).omega
+        omega_product = count_roots(product, p).omega
         assert omega_product <= len(rf) + len(rg)
         assert omega_product == len(rf | rg)
         if not (rf & rg):
             assert omega_product == len(rf) + len(rg)
+        checked += 1
+        inadmissible += _inadmissibility_witness(product) is not None
+    assert checked >= 50 and inadmissible >= 34
 
 
 # ---------------------------------------------------------------------------

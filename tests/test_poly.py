@@ -25,6 +25,7 @@ from batemanhorn.poly import (
     I64_MAX,
     _cauchy_bound,
     _eval_exact,
+    _inadmissibility_witness,
     _threshold_cutoff,
     count_roots_between,
 )
@@ -134,7 +135,6 @@ def test_evaluate_range_checks():
 def test_build_sophie_germain():
     s = build_system([parse_polynomial("n"), parse_polynomial("2*n+1")])
     assert s.m == 2
-    assert s.admissible
     assert s.n0 == 1
     assert s.product.coeffs == (0, 1, 2)
     assert s.irreducibility_evidence == ("certified", "certified")
@@ -142,16 +142,14 @@ def test_build_sophie_germain():
 
 def test_build_quadratic():
     s = build_system([parse_polynomial("6*n^2+1")])
-    assert s.m == 1 and s.admissible and s.n0 == 0
+    assert s.m == 1 and s.n0 == 0
 
 
 def test_build_inadmissible_witness():
     with pytest.raises(InadmissibleSystemError) as exc:
         build_system([parse_polynomial("n"), parse_polynomial("n+1")])
     assert exc.value.witness == 2
-    s = build_system([parse_polynomial("n"), parse_polynomial("n+1")],
-                     require_admissible=False)
-    assert not s.admissible and s.inadmissible_witness == 2
+    assert _inadmissibility_witness(parse_polynomial("n^2+n")) == 2
 
 
 def test_build_inadmissible_by_content():
@@ -176,21 +174,43 @@ def test_build_reducible_rejected():
         build_system([parse_polynomial("2*n^2+3*n+1")])  # (2n+1)(n+1)
 
 
+def _multiply(polys):
+    """Product by schoolbook convolution, independent of build_system."""
+    prod = [1]
+    for f in polys:
+        out = [0] * (len(prod) + f.degree)
+        for i, a in enumerate(prod):
+            for j, b in enumerate(f.coeffs):
+                out[i + j] += a * b
+        prod = out
+    return Polynomial(tuple(prod))
+
+
 def test_product_degree_additive():
+    # an inadmissible draw's product is checked against the exception's
+    # witness instead of a built system
     rng = random.Random(5)
+    checked = inadmissible = 0
     for _ in range(50):
         polys = []
-        texts = set()
         for _ in range(rng.randint(1, 3)):
             d = rng.randint(1, 3)
             coeffs = tuple(rng.randint(-9, 9) for _ in range(d)) + \
                 (rng.randint(1, 9),)
             polys.append(Polynomial(coeffs))
+        product = _multiply(polys)
         try:
-            s = build_system(polys, require_admissible=False)
+            s = build_system(polys)
+        except InadmissibleSystemError as exc:
+            assert exc.witness == _inadmissibility_witness(product)
+            inadmissible += 1
         except (DuplicatePolynomialError, IrreducibilityError):
             continue
-        assert s.product.degree == sum(f.degree for f in polys)
+        else:
+            assert s.product == product
+        assert product.degree == sum(f.degree for f in polys)
+        checked += 1
+    assert (checked, inadmissible) == (37, 22)
 
 
 def test_overflowing_product_rejected():
@@ -226,10 +246,13 @@ def test_admissibility_matches_brute_force():
             (rng.randint(1, 6),)
         f = Polynomial(coeffs)
         try:
-            s = build_system([f], require_admissible=False)
+            build_system([f])
+            admissible = True
+        except InadmissibleSystemError:
+            admissible = False
         except IrreducibilityError:
             continue
-        assert s.admissible == _admissible_brute_force(f), f.coeffs
+        assert admissible == _admissible_brute_force(f), f.coeffs
         checked += 1
 
 
@@ -237,16 +260,15 @@ def test_admissibility_matches_brute_force():
 # n0
 # ---------------------------------------------------------------------------
 
-def _check_n0_property(system):
-    n0 = system.n0
-    hits = any(evaluate(f, n0) <= 1 for f in system.polys)
+def _check_n0_property(polys, n0):
+    hits = any(evaluate(f, n0) <= 1 for f in polys)
     if not hits:
         # must be the clamp floor: every poly stays above 1 on the whole
         # scanned range, so nothing at or below n0 may dip either
         assert all(evaluate(f, n) > 1
-                   for f in system.polys for n in range(n0, n0 + 50))
+                   for f in polys for n in range(n0, n0 + 50))
     for n in range(n0 + 1, n0 + 1001):
-        for f in system.polys:
+        for f in polys:
             assert evaluate(f, n) > 1, (f.coeffs, n)
 
 
@@ -258,7 +280,7 @@ def _check_n0_property(system):
 ])
 def test_n0_defining_property(texts):
     s = build_system([parse_polynomial(t) for t in texts])
-    _check_n0_property(s)
+    _check_n0_property(s.polys, s.n0)
 
 
 def test_n0_values():
@@ -272,11 +294,11 @@ def test_n0_values():
     # 25n^2 - 25n + 7 is >= 7 at every integer: clamp floor
     s = build_system([parse_polynomial("25*n^2-25*n+7")])
     assert s.n0 == -2
-    _check_n0_property(s)
+    _check_n0_property(s.polys, s.n0)
     # a near-double root far out: f = 1 at n = 1000 only
     s = build_system([parse_polynomial("(n-1000)^2*(n+1)+1")])
     assert s.n0 == 1000
-    _check_n0_property(s)
+    _check_n0_property(s.polys, s.n0)
 
 
 def test_n0_random_systems():
@@ -286,11 +308,14 @@ def test_n0_random_systems():
         d = rng.randint(1, 3)
         coeffs = tuple(rng.randint(-30, 30) for _ in range(d)) + \
             (rng.randint(1, 30),)
+        polys = [Polynomial(coeffs)]
         try:
-            s = build_system([Polynomial(coeffs)], require_admissible=False)
+            n0 = build_system(polys).n0
+        except InadmissibleSystemError:
+            n0 = _threshold_cutoff(polys, 1)  # what build_system would set
         except IrreducibilityError:
             continue
-        _check_n0_property(s)
+        _check_n0_property(polys, n0)
         checked += 1
 
 

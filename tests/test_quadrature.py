@@ -251,7 +251,7 @@ def test_predict_alignment_validation():
     s = system("n")
     c = bh_constant_naive(s, 100)
     with pytest.raises(ValueError):
-        predict(s, [10, 100], c, [CountResult(10, 4, "deterministic", 0.0)])
+        predict(s, [10, 100], c, [CountResult(10, 4, "deterministic")])
 
 
 def test_round_half_away():
