@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Commands: constant, count, predict, table, reproduce.  Exit codes form a
-stable contract: 0 success, 1 reproduction mismatch, 2 invalid or
-inadmissible polynomial system, 3 range overflow, 4 usage error.
+Commands: constant, count, predict, table, reproduce.  predict prints the
+table columns without counting, so no actual, rel_err or certainty.  Exit
+codes form a stable contract: 0 success, 1 reproduction mismatch, 2 invalid
+or inadmissible polynomial system, 3 range overflow, 4 usage error.
 
 The modified prediction integral runs from n0 + 1 (not n0): at n0 itself
 some polynomial equals 1 and the integrand 1 / prod log f_i diverges.  It
@@ -19,7 +20,7 @@ import time
 from fractions import Fraction
 
 from . import constants, counting, quadrature
-from .counting import CountResult, EngineConfig
+from .counting import EngineConfig
 from .errors import (
     BatemanHornError,
     LimitTooLargeError,
@@ -122,6 +123,12 @@ def _build_parser() -> _Parser:
                        help="polynomial in n (repeatable), e.g. '2*n+1' or "
                             "a coefficient list '1,2'")
 
+    def add_range_opts(p):
+        p.add_argument("--x", type=_int_arg, required=True, metavar="X")
+        p.add_argument("--checkpoints", type=_checkpoints_arg, default=None,
+                       metavar="LIST", help="comma-separated checkpoint "
+                       "list, none above x (default: decades up to x)")
+
     def add_constant_opts(p):
         p.add_argument("--truncate", type=_int_arg, default=10**6,
                        metavar="P", help="Euler product prime bound "
@@ -161,35 +168,23 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("count", help="count simultaneous prime values")
     add_polys(p)
-    p.add_argument("--x", type=_int_arg, required=True, metavar="X")
-    p.add_argument("--checkpoints", type=_checkpoints_arg, default=None,
-                   metavar="LIST", help="comma-separated checkpoint list, "
-                   "none above x (default: decades up to x)")
+    add_range_opts(p)
     add_engine_opts(p)
     add_format_opt(p)
     p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("predict", help="evaluate both prediction models")
-    add_polys(p)
-    p.add_argument("--x", type=_int_arg, required=True, metavar="X")
-    p.add_argument("--checkpoints", type=_checkpoints_arg, default=None,
-                   metavar="LIST")
-    p.add_argument("--tol", type=float, default=quadrature.DEFAULT_TOL)
-    add_constant_opts(p)
-    add_format_opt(p)
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("table",
-                       help="side-by-side actual counts and predictions")
-    add_polys(p)
-    p.add_argument("--x", type=_int_arg, required=True, metavar="X_MAX")
-    p.add_argument("--checkpoints", type=_checkpoints_arg, default=None,
-                   metavar="LIST")
-    p.add_argument("--tol", type=float, default=quadrature.DEFAULT_TOL)
-    add_constant_opts(p)
-    add_engine_opts(p)
-    add_format_opt(p)
-    p.set_defaults(func=cmd_table)
+    for name, counts, help_text in (
+            ("predict", False, "evaluate both prediction models"),
+            ("table", True, "side-by-side actual counts and predictions")):
+        p = sub.add_parser(name, help=help_text)
+        add_polys(p)
+        add_range_opts(p)
+        p.add_argument("--tol", type=float, default=quadrature.DEFAULT_TOL)
+        add_constant_opts(p)
+        if counts:
+            add_engine_opts(p)
+        add_format_opt(p)
+        p.set_defaults(func=cmd_table, counts=counts)
 
     p = sub.add_parser("reproduce",
                        help="re-run a bundled reference table and verify "
@@ -320,24 +315,33 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
-def cmd_predict(args) -> int:
+def cmd_table(args) -> int:
+    """The comparison table for both table and predict; only table counts,
+    adding the actual and rel_err columns and the certainty note."""
     system = _system_from_args(args)
     cps = _checkpoints_from_args(args)
     c = _constant_for(system, args.accelerate, args.truncate)
-    rows = quadrature.predict(system, cps, c, None, args.tol)
+    actuals = None
+    if args.counts:
+        actuals = counting.count_series(system, cps, _engine_config(args),
+                                        _progress_callback(args, cps[-1]))
+    rows = quadrature.predict(system, cps, c, actuals, args.tol)
+    # Column names are the PredictionRow fields they show.
     header = ["x", "modified", "original"]
-    if args.fmt in ("csv", "tsv"):
-        cells = [[str(r.x), _real(r.modified), _real(r.original)]
-                 for r in rows]
-    else:
-        cells = [[str(r.x), str(round_half_away(r.modified)),
-                  str(round_half_away(r.original))] for r in rows]
-    _emit_rows(header, cells, args.fmt, _table_notes(system, c))
-    return EXIT_OK
+    if args.counts:
+        header = ["x", "actual", "modified", "original", "rel_err_modified",
+                  "rel_err_original"]
 
+    def cell(name: str, v) -> str:
+        if name in ("x", "actual"):
+            return str(v)
+        if args.fmt in ("csv", "tsv"):
+            return _real(v)
+        if name.startswith("rel_err"):
+            return f"{v:+.4f}"
+        return str(round_half_away(v))
 
-def _table_notes(system: PolySystem, c: constants.EulerProductResult,
-                 certainty: str | None = None) -> list[str]:
+    cells = [[cell(name, getattr(r, name)) for name in header] for r in rows]
     lower = quadrature.modified_lower_bound(system)
     modified_from = (f"n0+1 = {lower}" if lower == system.n0 + 1 else
                      f"{lower} (n0+1 = {system.n0 + 1} is below 1)")
@@ -345,33 +349,8 @@ def _table_notes(system: PolySystem, c: constants.EulerProductResult,
              f"drift {c.error_estimate:.2g})",
              f"integral lower bounds: modified from {modified_from}, "
              f"original from 2"]
-    if certainty is not None:
-        notes.append(f"certainty: {certainty}")
-    return notes
-
-
-def cmd_table(args) -> int:
-    system = _system_from_args(args)
-    cps = _checkpoints_from_args(args)
-    c = _constant_for(system, args.accelerate, args.truncate)
-    actuals = counting.count_series(system, cps, _engine_config(args),
-                                    _progress_callback(args, cps[-1]))
-    rows = quadrature.predict(system, cps, c, actuals, args.tol)
-    header = ["x", "actual", "modified", "original", "rel_err_modified",
-              "rel_err_original"]
-    cells = []
-    for r in rows:
-        if args.fmt in ("csv", "tsv"):
-            cells.append([str(r.x), str(r.actual), _real(r.modified),
-                          _real(r.original), _real(r.rel_err_modified),
-                          _real(r.rel_err_original)])
-        else:
-            cells.append([str(r.x), str(r.actual),
-                          str(round_half_away(r.modified)),
-                          str(round_half_away(r.original)),
-                          f"{r.rel_err_modified:+.4f}",
-                          f"{r.rel_err_original:+.4f}"])
-    notes = _table_notes(system, c, actuals[-1].certainty)
+    if actuals is not None:
+        notes.append(f"certainty: {actuals[-1].certainty}")
     _emit_rows(header, cells, args.fmt, notes)
     return EXIT_OK
 
@@ -403,20 +382,15 @@ def cmd_reproduce(args) -> int:
     print(f"reproducing table {args.table_id}: system {system}, "
           f"constant {c.value:.10g} ({c.mode})")
     failures = 0
-    for (x, ref_actual, ref_mod, ref_orig), count, pred in \
-            zip(rows, actuals, predictions):
-        checks = [
-            ("actual", count.count, ref_actual,
-             count.count == ref_actual),
-            ("modified", round_half_away(pred.modified), ref_mod,
-             abs(round_half_away(pred.modified) - ref_mod) <= 1),
-            ("original", round_half_away(pred.original), ref_orig,
-             abs(round_half_away(pred.original) - ref_orig) <= 1),
-        ]
+    for (x, *wanted), count, pred in zip(rows, actuals, predictions):
+        got = (count.count, round_half_away(pred.modified),
+               round_half_away(pred.original))
         cells = []
-        for name, got, want, ok in checks:
+        for name, g, want in zip(("actual", "modified", "original"), got,
+                                 wanted):
+            ok = g == want if name == "actual" else abs(g - want) <= 1
             failures += not ok
-            cells.append(f"{name} {got}"
+            cells.append(f"{name} {g}"
                          + (" ok" if ok else f" MISMATCH (expected {want})"))
         print(f"x={x}: " + ", ".join(cells))
     total = 3 * len(rows)

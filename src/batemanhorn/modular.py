@@ -80,14 +80,21 @@ def kronecker(a: int, m: int) -> int:
     return result if m == 1 else 0
 
 
+def _require_prime(p: int) -> None:
+    if p < 2 or not primality.is_prime(p):
+        raise NotPrimeError(f"{p} is not prime")
+
+
 def sqrt_mod(a: int, p: int) -> int | None:
-    """A square root of a modulo odd prime p, or None if a is a nonresidue.
+    """A square root of a modulo prime p, or None if a is a nonresidue;
+    NotPrimeError for composite p.
 
     a^((p+1)/4) when p = 3 (mod 4), else Cipolla's method with the first
     t = 1, 2, ... for which w = t^2 - a is a nonresidue: the root is
     (t + sqrt(w))^((p+1)/2) in GF(p)[X]/(X^2 - w).  _lane_sqrt runs the same
     steps in numpy lanes and returns the same root.
     """
+    _require_prime(p)
     a %= p
     if a == 0:
         return 0
@@ -100,11 +107,6 @@ def sqrt_mod(a: int, p: int) -> int | None:
         t += 1
     w = (t * t - a) % p
     return _gfpoly.pow_mod([t, 1], (p + 1) // 2, [-w % p, 0, 1], p)[0]
-
-
-def _require_prime(p: int) -> None:
-    if p < 2 or not primality.is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
 
 
 def _reduce(f: Polynomial, p: int) -> list[int]:

@@ -150,6 +150,8 @@ def _cumulative(g, lower: int, xs: Sequence[float],
                 tol: float) -> list[float]:
     """int_lower^x g for each x of the ascending xs (0.0 for x <= lower),
     one Simpson run per gap between consecutive points."""
+    if not 0 < tol < math.inf:  # also rejects nan
+        raise ValueError(f"tolerance must be a finite number > 0, got {tol}")
     totals, acc, prev = [], 0.0, float(lower)
     for x in xs:
         if x > prev:
@@ -160,8 +162,6 @@ def _cumulative(g, lower: int, xs: Sequence[float],
 
 
 def _adaptive_simpson(g, a: float, b: float, tol: float) -> float:
-    if not 0 < tol < math.inf:  # also rejects nan
-        raise ValueError(f"tolerance must be a finite number > 0, got {tol}")
     fa, fm, fb = g(a), g((a + b) / 2), g(b)
     whole = (b - a) / 6 * (fa + 4 * fm + fb)
     return _simpson_rec(g, a, b, fa, fm, fb, whole, tol, tol, _DEPTH_CAP)

@@ -267,6 +267,11 @@ def test_usage_errors_exit_4(capsys):
     for tol in ("nan", "inf"):
         assert run_main(capsys, "predict", "--poly", "6*n^2+1", "--x", "100",
                         "--tol", tol)[0] == 4, tol
+    # checked even when every x is at or below the integrals' lower bounds
+    assert run_main(capsys, "predict", "--poly", "n", "--x", "1",
+                    "--tol", "-1")[0] == 4
+    assert run_main(capsys, "predict", "--poly", "n", "--poly", "2*n+1",
+                    "--x", "1", "--tol", "nan")[0] == 4
     code, _, err = run_main(capsys, "reproduce", "1", "--cap", "10")
     assert code == 4 and "excludes every reference row" in err
 

@@ -8,8 +8,10 @@ from batemanhorn import (
     DETERMINISTIC,
     PROBABLE,
     CountResult,
+    DuplicatePolynomialError,
     EngineConfig,
     InadmissibleSystemError,
+    IrreducibilityError,
     Polynomial,
     RangeOverflowError,
     build_system,
@@ -32,11 +34,11 @@ def system(*texts):
     return build_system([parse_polynomial(t) for t in texts])
 
 
-def naive_count_series(s, checkpoints):
+def naive_count_series(s, checkpoints, isprime=is_prime):
     """Oracle: test every f_i(n) individually, no pre-sieve, no segments."""
     out, total, i = [], 0, 0
     for n in range(1, checkpoints[-1] + 1):
-        if all((v := evaluate(f, n)) >= 2 and is_prime(v) for f in s.polys):
+        if all((v := evaluate(f, n)) >= 2 and isprime(v) for f in s.polys):
             total += 1
         while i < len(checkpoints) and n == checkpoints[i]:
             out.append(total)
@@ -90,6 +92,46 @@ def test_engine_matches_naive_oracle_to_1e4(texts):
     s = system(*texts)
     cps = [10, 100, 1000, 10**4]
     assert counts(s, cps) == naive_count_series(s, cps)
+
+
+NON_MONIC_LEADS = (1, 2, 6, 12, 30, 60, 210, 720)
+
+
+def random_admissible_system(rng):
+    """An admissible system with leads from NON_MONIC_LEADS: about a third
+    are lead*(n-k)^2*(n+c) + s, which dips to s at n = k; the rest are one
+    or two polynomials of degree 1-5 with small lower coefficients."""
+    while True:
+        if rng.random() < 1 / 3:
+            lead, k = rng.choice(NON_MONIC_LEADS), rng.randint(2, 1400)
+            c, s = rng.randint(0, 20), rng.randint(1, 200)
+            # (n-k)^2 (n+c) = n^3 + (c-2k) n^2 + (k^2-2kc) n + k^2 c
+            cubic = (k * k * c, k * k - 2 * k * c, c - 2 * k, 1)
+            polys = [Polynomial((lead * cubic[0] + s,
+                                 *(lead * a for a in cubic[1:])))]
+        else:
+            polys = [Polynomial(tuple(rng.randint(-30, 30)
+                                      for _ in range(rng.randint(1, 5)))
+                                + (rng.choice(NON_MONIC_LEADS),))
+                     for _ in range(rng.randint(1, 2))]
+        try:
+            return build_system(polys)
+        except (InadmissibleSystemError, IrreducibilityError,
+                DuplicatePolynomialError):
+            continue
+
+
+def test_engine_matches_sympy_oracle_on_random_non_monic_systems():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(5)
+    cps = [100, 700, 1500]
+    for _ in range(25):
+        s = random_admissible_system(rng)
+        expected = naive_count_series(s, cps, sympy.isprime)
+        for bound in (0, 2, 97, 1009):
+            cfg = EngineConfig(workers=1, segment_size=2**8,
+                               presieve_bound=bound)
+            assert counts(s, cps, cfg) == expected, (str(s), bound)
 
 
 def test_partition_and_presieve_invariance():

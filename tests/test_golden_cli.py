@@ -4,11 +4,15 @@ A refactor that claims unchanged behaviour must leave these outputs equal
 byte for byte.  The count and constant commands print exact integers, or
 floats that come from IEEE arithmetic and correctly rounded int/int
 division only (no libm call decides a printed digit), so the expected text
-does not depend on the platform.  The reproduce commands print the paper's
-two tables to 1e5 and 1e4 with the elapsed time masked: exact counts,
-integrals rounded to integers and constants to 10 digits.  A libm last bit
-could move one of those only if its value sat within about 1e-12 (relative)
-of a rounding boundary; the nearest sits 1e-10 away.
+does not depend on the platform.  The reproduce, predict and table commands
+print the paper's tables in markdown: exact counts, integrals rounded to
+integers, relative errors to 4 decimals and constants to 10 digits
+(reproduce's elapsed time is masked).  A libm last bit could move one of
+those only if its value sat within about 1e-12 (relative) of a rounding
+boundary.  The integral and relative-error cells, which go through libm
+log, sit at least 1.6e-8 away (the original estimate 6163041.598 at 1e8);
+the 10-digit constants, where the accelerated product's L-value takes one
+libm pow, at least 2e-11 away (6.639546355356 for n^2+n+41).
 """
 
 import re
@@ -68,6 +72,50 @@ GOLDEN = [
      "x=1000: actual 155 ok, modified 162 ok, original 189 ok\n"
      "x=10000: actual 1176 ok, modified 1195 ok, original 1332 ok\n"
      "REPRODUCE: PASS (9/9 cells, <elapsed>)\n"),
+    (("predict", "--poly", "6*n^2+1", "--x", "1e8"),
+     "| x         | modified | original |\n"
+     "|-----------|----------|----------|\n"
+     "| 100       | 25       | 31       |\n"
+     "| 1000      | 162      | 189      |\n"
+     "| 10000     | 1195     | 1332     |\n"
+     "| 100000    | 9469     | 10299    |\n"
+     "| 1000000   | 78514    | 84096    |\n"
+     "| 10000000  | 670963   | 711171   |\n"
+     "| 100000000 | 5859288  | 6163042  |\n"
+     "constant 2.139124879 (accelerated, truncation 1000000, drift 4.8e-09)\n"
+     "integral lower bounds: modified from n0+1 = 1, original from 2\n"),
+    (("table", "--poly", "n", "--poly", "2*n+1", "--x", "1e5",
+      "--workers", "1"),
+     "| x      | actual | modified | original | rel_err_modified "
+     "| rel_err_original |\n"
+     "|--------|--------|----------|----------|------------------"
+     "|------------------|\n"
+     "| 100    | 10     | 10       | 14       | +0.0199          "
+     "| +0.3535          |\n"
+     "| 1000   | 37     | 39       | 46       | +0.0567          "
+     "| +0.2377          |\n"
+     "| 10000  | 190    | 195      | 214      | +0.0241          "
+     "| +0.1274          |\n"
+     "| 100000 | 1171   | 1166     | 1249     | -0.0043          "
+     "| +0.0664          |\n"
+     "constant 1.320323721 (naive, truncation 1000000, drift 9.7e-07)\n"
+     "integral lower bounds: modified from n0+1 = 2, original from 2\n"
+     "certainty: deterministic\n"),
+    (("table", "--poly", "n^2+n+41", "--x", "1e4", "--workers", "1"),
+     "| x     | actual | modified | original | rel_err_modified "
+     "| rel_err_original |\n"
+     "|-------|--------|----------|----------|------------------"
+     "|------------------|\n"
+     "| 100   | 86     | 92       | 97       | +0.0747          "
+     "| +0.1226          |\n"
+     "| 1000  | 581    | 582      | 586      | +0.0015          "
+     "| +0.0089          |\n"
+     "| 10000 | 4148   | 4129     | 4133     | -0.0046          "
+     "| -0.0035          |\n"
+     "constant 6.639546355 (accelerated, truncation 1000000, drift 3.1e-08)\n"
+     "integral lower bounds: modified from 1 (n0+1 = -40 is below 1), "
+     "original from 2\n"
+     "certainty: deterministic\n"),
 ]
 
 

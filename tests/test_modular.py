@@ -258,6 +258,15 @@ def test_sqrt_mod_roundtrip():
                 assert r * r % p == a % p
 
 
+def test_sqrt_mod_rejects_composite_modulus():
+    # 2^2 = 4 mod 15, so None would be wrong; on the Carmichael number 561
+    # Euler's criterion never gives -1 and the search for t would not end.
+    for p in (15, 561, 1, 0, -7):
+        with pytest.raises(NotPrimeError):
+            sqrt_mod(4, p)
+    assert [sqrt_mod(a, 2) for a in (0, 1, 2, 3)] == [0, 1, 0, 1]
+
+
 def test_sqrt_mod_equals_lane_sqrt():
     # The scalar and lane forms pick the same t, hence the same root.
     rng = random.Random(7)
