@@ -23,12 +23,7 @@ from .constants import (
     is_fundamental_discriminant,
     l_value_negative_fundamental,
 )
-from .counting import (
-    CountResult,
-    EngineConfig,
-    count_series,
-    count_simultaneous_primes,
-)
+from .counting import CountResult, EngineConfig, count_series
 from .errors import (
     BatemanHornError,
     ConstantPolynomialError,
@@ -89,7 +84,7 @@ __all__ = [
     "bh_constant", "bh_constant_naive", "bh_constant_accelerated",
     "l_value_negative_fundamental", "discriminant",
     "is_fundamental_discriminant",
-    "count_simultaneous_primes", "count_series",
+    "count_series",
     "integrate_modified", "integrate_original", "predict", "round_half_away",
     "BatemanHornError", "PolynomialSyntaxError", "NonPositiveLeadError",
     "ConstantPolynomialError", "RangeOverflowError",

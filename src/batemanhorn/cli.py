@@ -419,10 +419,7 @@ def main(argv=None) -> int:
     except RangeOverflowError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_OVERFLOW
-    except LimitTooLargeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as e:
+    except (LimitTooLargeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except BatemanHornError as e:

@@ -6,8 +6,9 @@ some f_i mod p.  Past n_star, the last n with some f_i(n) <= B, a mark means
 p divides f_i(n) > p, hence composite.  An unmarked value has no prime factor
 <= B (if f_i has no root mod p, p never divides f_i(n)), so 2 <= v < (B+1)^2
 proves it prime; only larger survivors get a real primality test,
-short-circuiting on the first composite.  The direct phase [1, n_star] is
-the same kernel with no roots and B = 0, so every value there is tested.
+short-circuiting on the first composite.  The direct range [1, n_star] is
+the first chunks of the same chunk list, run with no table and B = 0, so
+every value there is tested.
 B = min(presieve_bound, isqrt(max_i f_i(x)) + 1): a larger bound would mark
 no composite value that a smaller prime misses.
 
@@ -27,9 +28,9 @@ covers the full bound of `reproduce 2 --cap 1e7` (isqrt(6e14) + 1 =
 24,494,898), which then runs no primality test past n_star.  Otherwise the
 cap stays 1e5.  An explicit presieve_bound is an upper limit as before.
 
-Segments are independent work units, so the sieved phase can run on a
-process pool; results merge by ordered integer sums and are identical for
-any worker count, segment size, or pre-sieve bound.
+Chunks are independent work units, so every chunk, direct or sieved, can
+run on a process pool; results merge by ordered integer sums and are
+identical for any worker count, segment size, or pre-sieve bound.
 """
 
 from __future__ import annotations
@@ -89,14 +90,6 @@ def resolve_workers(config: EngineConfig) -> int:
     return os.cpu_count() or 1
 
 
-def count_simultaneous_primes(system: PolySystem, x: int,
-                              config: EngineConfig | None = None,
-                              progress: Callable[[int, int], None] | None = None
-                              ) -> CountResult:
-    """Count of n in [1, x] with f_i(n) prime for every i."""
-    return count_series(system, [x], config, progress)[0]
-
-
 def count_series(system: PolySystem, checkpoints: Sequence[int],
                  config: EngineConfig | None = None,
                  progress: Callable[[int, int], None] | None = None
@@ -114,41 +107,32 @@ def count_series(system: PolySystem, checkpoints: Sequence[int],
         low_degree = all(f.degree <= 2 for f in system.polys)
         limit = _AUTO_BOUND_LOW_DEGREE if low_degree else _AUTO_BOUND
     bound = min(limit, math.isqrt(max(0, top)) + 1)
+    n_star = min(max(0, threshold_cutoff(system, bound)), x)
+    table = []
+    if x > n_star and bound >= 2:
+        table = modular._root_table(system.polys,
+                                    primality._prime_segments(bound))
+    state = (tuple(f.coeffs for f in system.polys), table, bound, n_star)
+    # No chunk straddles n_star, so the kernel can tell the ranges apart.
+    chunks = [*_chunk_bounds(1, n_star, config.segment_size),
+              *_chunk_bounds(n_star + 1, x, config.segment_size)]
+    workers = resolve_workers(config)
+    if workers > 1 and len(chunks) > 1:
+        results = _run_pool(state, chunks, workers)
+    else:
+        results = (_process_chunk_state(state, bounds) for bounds in chunks)
 
     counts = [0] * len(checkpoints)
     certainty = [primality.DETERMINISTIC] * len(checkpoints)
-
-    def absorb(hi: int, qualified: array, probable: int | None,
-               running_total: int) -> int:
+    total = 0
+    for (_, hi), (qualified, probable) in zip(chunks, results):
         for j, c in enumerate(checkpoints):
             counts[j] += bisect_right(qualified, c)
             if probable is not None and probable <= c:
                 certainty[j] = primality.PROBABLE
-        running_total += len(qualified)
+        total += len(qualified)
         if progress is not None:
-            progress(min(hi, x), running_total)
-        return running_total
-
-    coeffs = tuple(f.coeffs for f in system.polys)
-    direct_limit = min(max(0, threshold_cutoff(system, bound)), x)
-    total = 0
-    direct = (coeffs, [], 0)
-    for lo, hi in _chunk_bounds(1, direct_limit, config.segment_size):
-        qualified, probable = _process_chunk_state(direct, (lo, hi))
-        total = absorb(hi, qualified, probable, total)
-
-    if x > direct_limit:
-        primes = primality._prime_segments(bound) if bound >= 2 else ()
-        state = (coeffs, modular._root_table(system.polys, primes), bound)
-        chunks = list(_chunk_bounds(direct_limit + 1, x, config.segment_size))
-        workers = resolve_workers(config)
-        if workers > 1 and len(chunks) > 1:
-            results = _run_pool(state, chunks, workers)
-        else:
-            results = (_process_chunk_state(state, bounds) for bounds in chunks)
-        for (_, hi), (qualified, probable) in zip(chunks, results):
-            total = absorb(hi, qualified, probable, total)
-
+            progress(hi, total)
     return [CountResult(x=c, count=counts[j], certainty=certainty[j])
             for j, c in enumerate(checkpoints)]
 
@@ -177,14 +161,17 @@ def _process_chunk_state(state, bounds: tuple[int, int]
                          ) -> tuple[array, int | None]:
     """Sieve one segment [lo, hi] and test survivor values >= (B+1)^2.
 
-    state is (coefficients, root table of every prime <= B, B).
+    state is (coefficients, root table of every prime <= B, B, n_star).  A
+    segment with hi <= n_star is not sieved and every value in it is tested.
     Returns the qualified n, ascending (8 bytes each in an int64 array,
     not a list of ints), and the first of them that a probable verdict
     admitted (None if none did).
     """
-    coeffs_list, table, bound = state
-    proved = (bound + 1) ** 2
+    coeffs_list, table, bound, n_star = state
     lo, hi = bounds
+    if hi <= n_star:
+        table, bound = [], 0
+    proved = (bound + 1) ** 2
     qualified, probable = array("q"), None
     for k in np.flatnonzero(_sieve_segment(table, lo, hi - lo + 1)):
         n = lo + int(k)
@@ -253,7 +240,10 @@ def _pool_task(bounds):
 def _run_pool(state, chunks, workers: int):
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(workers, len(chunks)),
+    # Under fork every worker starts at the first submit, so never ask for
+    # more than the machine has.
+    processes = min(workers, len(chunks), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=processes,
                              initializer=_pool_init,
                              initargs=(state,)) as pool:
         yield from pool.map(_pool_task, chunks)

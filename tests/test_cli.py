@@ -209,13 +209,13 @@ def test_bh_workers_env(capsys, monkeypatch):
         return run_pool(state, chunks, workers)
 
     monkeypatch.setattr(counting, "_run_pool", spy)
-    # the direct phase ends at n = 11 (B = isqrt(100) + 1); 12..100 is
-    # sieved in six chunks of 16
+    # the direct range [1, 11] (B = isqrt(100) + 1) is one chunk, and
+    # 12..100 is sieved in six chunks of 16
     code, out, _ = run_main(capsys, "count", "--poly", "n", "--x", "100",
                             "--segment-size", "16")
     assert code == 0
     assert "| 25" in out
-    assert pools == [(6, 2)]
+    assert pools == [(7, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +274,9 @@ def test_usage_errors_exit_4(capsys):
                     "--x", "1", "--tol", "nan")[0] == 4
     code, _, err = run_main(capsys, "reproduce", "1", "--cap", "10")
     assert code == 4 and "excludes every reference row" in err
+    code, _, err = run_main(capsys, "constant", "--poly", "n",
+                            "--truncate", "2e12")
+    assert code == 4 and "exceeds the 2^40 guard" in err
 
 
 def test_quadratic_acceleration_needs_one_polynomial(capsys):

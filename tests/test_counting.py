@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import os
 import random
 
 import numpy as np
@@ -16,7 +18,6 @@ from batemanhorn import (
     RangeOverflowError,
     build_system,
     count_series,
-    count_simultaneous_primes,
     evaluate,
     is_prime,
     list_roots,
@@ -72,7 +73,7 @@ def test_6n2_reference_counts():
 
 
 def test_prime_counting_special_case():
-    r = count_simultaneous_primes(system("n"), 100, SERIAL)
+    r = count_series(system("n"), [100], SERIAL)[0]
     assert r.count == 25
     assert r.certainty == DETERMINISTIC
     assert r.x == 100
@@ -121,17 +122,40 @@ def random_admissible_system(rng):
             continue
 
 
+I64_NEAR_MAX = (2**63 - 1, 2**63 - 2)
+
+
+def random_wide_coefficient_system(rng):
+    """One polynomial of degree 4-6 with lead 1, 2 or 6 and one lower
+    coefficient equal to +-(2^63 - 1) or +-(2^63 - 2); at n <= 1500 its
+    values stay below 2^127."""
+    while True:
+        degree = rng.randint(4, 6)
+        coeffs = [rng.randint(-30, 30) for _ in range(degree)]
+        coeffs[rng.randrange(degree)] = (rng.choice((1, -1))
+                                         * rng.choice(I64_NEAR_MAX))
+        try:
+            return build_system([Polynomial((*coeffs, rng.choice((1, 2, 6))))])
+        except (InadmissibleSystemError, IrreducibilityError):
+            continue
+
+
 def test_engine_matches_sympy_oracle_on_random_non_monic_systems():
     sympy = pytest.importorskip("sympy")
-    rng = random.Random(5)
+    rng, wide_rng = random.Random(5), random.Random(11)
+    systems = [random_admissible_system(rng) for _ in range(25)]
+    systems += [random_wide_coefficient_system(wide_rng) for _ in range(8)]
     cps = [100, 700, 1500]
-    for _ in range(25):
-        s = random_admissible_system(rng)
+    # the last config splits both the direct and the sieved range into
+    # several pool chunks
+    configs = [EngineConfig(workers=1, segment_size=2**8, presieve_bound=b)
+               for b in (0, 2, 97, 1009)]
+    configs.append(EngineConfig(workers=2, segment_size=2**6,
+                                presieve_bound=97))
+    for s in systems:
         expected = naive_count_series(s, cps, sympy.isprime)
-        for bound in (0, 2, 97, 1009):
-            cfg = EngineConfig(workers=1, segment_size=2**8,
-                               presieve_bound=bound)
-            assert counts(s, cps, cfg) == expected, (str(s), bound)
+        for cfg in configs:
+            assert counts(s, cps, cfg) == expected, (str(s), cfg)
 
 
 def test_partition_and_presieve_invariance():
@@ -153,9 +177,10 @@ def test_partition_and_presieve_invariance():
 ])
 def test_presieve_bound_and_worker_invariance(monkeypatch, texts, x, expected):
     s = system(*texts)
-    # Each segment size leaves at least two sieved chunks, so workers=2 runs
-    # a pool.  The dip input needs 2^3: past n_star = 2000 only 2001..2010
-    # are sieved for every bound >= 97 (at 2^17 one chunk, and no pool).
+    # Each segment size splits [1, x] into at least two chunks, so workers=2
+    # runs a pool.  The dip input uses 2^3 so that the sieved range alone
+    # is still two pool chunks: past n_star = 2000 only 2001..2010 are
+    # sieved for every bound >= 97.
     segment = {10**6: 2**17, 10**5: 2**15, 2010: 2**3}[x]
     root = math.isqrt(max(evaluate(f, x) for f in s.polys))
     pools = []
@@ -185,6 +210,33 @@ def test_worker_invariance():
         assert counts(s, cps, cfg) == reference, workers
 
 
+def test_pool_never_exceeds_cpu_count(monkeypatch):
+    asked = []
+
+    class InProcessPool:
+        """Records max_workers and maps in this process; starts nothing."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            asked.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool)
+    monkeypatch.setattr(counting, "_POOL_STATE", None)
+    cfg = EngineConfig(workers=10**6, segment_size=16)
+    assert counts(system("n", "2*n+1"), [10**4], cfg) == [190]
+    assert asked == [min(os.cpu_count() or 1, 10**4 // 16)]
+
+
 def test_monotonicity_in_x():
     s = system("n", "n+2")
     cps = [10**k for k in range(1, 5)]
@@ -197,7 +249,7 @@ def test_series_matches_individual_counts():
     s = system("2*n^2+3")
     cps = [50, 500, 5000]
     series = counts(s, cps)
-    singles = [count_simultaneous_primes(s, c, SERIAL).count for c in cps]
+    singles = [count_series(s, [c], SERIAL)[0].count for c in cps]
     assert series == singles
 
 
@@ -329,7 +381,7 @@ def test_probable_certainty_propagates():
 def test_count_rejects_inadmissible():
     # no PolySystem is inadmissible, so the count never starts
     with pytest.raises(InadmissibleSystemError) as exc:
-        count_simultaneous_primes(system("n", "n+1"), 100, SERIAL)
+        count_series(system("n", "n+1"), [100], SERIAL)
     assert exc.value.witness == 2
 
 
@@ -338,7 +390,7 @@ def test_count_range_overflow():
     f = Polynomial((1, 0, 0, 0, 2**62))  # (2^62) n^4
     s = build_system([f])
     with pytest.raises(RangeOverflowError):
-        count_simultaneous_primes(s, 10**17, SERIAL)
+        count_series(s, [10**17], SERIAL)
 
 
 def test_checkpoint_validation():
@@ -360,4 +412,4 @@ def test_progress_hook_called():
     assert seen[-1][0] == 2000
     dones = [d for d, _ in seen]
     assert dones == sorted(dones)
-    assert seen[-1][1] == count_simultaneous_primes(s, 2000, SERIAL).count
+    assert seen[-1][1] == count_series(s, [2000], SERIAL)[0].count

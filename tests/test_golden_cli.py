@@ -21,16 +21,24 @@ import pytest
 
 from batemanhorn.cli import main
 
+SOPHIE_GERMAIN_CSV = (
+    "x,count\n"
+    "100,10\n"
+    "1000,37\n"
+    "10000,190\n"
+    "100000,1171\n"
+    "1000000,7746\n"
+    "# certainty: deterministic\n")
+
 GOLDEN = [
     (("count", "--poly", "n", "--poly", "2*n+1", "--x", "1e6",
       "--format", "csv", "--workers", "1"),
-     "x,count\n"
-     "100,10\n"
-     "1000,37\n"
-     "10000,190\n"
-     "100000,1171\n"
-     "1000000,7746\n"
-     "# certainty: deterministic\n"),
+     SOPHIE_GERMAIN_CSV),
+    # n_star = 1415, so the direct range [1, 1415] is two of the pool's
+    # chunks; --workers comes first to give the case its own test id
+    (("count", "--workers", "2", "--poly", "n", "--poly", "2*n+1",
+      "--x", "1e6", "--segment-size", "1024", "--format", "csv"),
+     SOPHIE_GERMAIN_CSV),
     (("count", "--poly", "6*n^2+1", "--x", "1e5",
       "--format", "csv", "--workers", "1"),
      "x,count\n"
