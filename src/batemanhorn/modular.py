@@ -87,14 +87,19 @@ def _require_prime(p: int) -> None:
 
 def sqrt_mod(a: int, p: int) -> int | None:
     """A square root of a modulo prime p, or None if a is a nonresidue;
-    NotPrimeError for composite p.
+    NotPrimeError for composite p."""
+    _require_prime(p)
+    return _sqrt_mod(a, p)
+
+
+def _sqrt_mod(a: int, p: int) -> int | None:
+    """sqrt_mod for a p already known to be prime.
 
     a^((p+1)/4) when p = 3 (mod 4), else Cipolla's method with the first
     t = 1, 2, ... for which w = t^2 - a is a nonresidue: the root is
     (t + sqrt(w))^((p+1)/2) in GF(p)[X]/(X^2 - w).  _lane_sqrt runs the same
     steps in numpy lanes and returns the same root.
     """
-    _require_prime(p)
     a %= p
     if a == 0:
         return 0
@@ -174,7 +179,7 @@ def _roots_of_reduced(fbar: list[int], p: int) -> list[int]:
         inv2a = pow(2 * a, p - 2, p)
         if disc == 0:
             return [-b * inv2a % p]
-        s = sqrt_mod(disc, p)
+        s = _sqrt_mod(disc, p)
         if s is None:
             return []
         return [(-b + s) * inv2a % p, (-b - s) * inv2a % p]

@@ -3,11 +3,11 @@
 primes_up_to streams a segmented sieve of Eratosthenes: numpy masks over
 fixed 2^20 segments, struck by the base primes that simple_sieve finds up to
 sqrt(limit); it yields from _prime_segments, the sieve itself, which hands
-over each segment's primes as one array.  Single-number testing is
-deterministic Miller-Rabin below 2^64, with the first 1 to 12 primes as
-witnesses by size, and Baillie-PSW (strong base-2 Miller-Rabin plus a strong
-Lucas test with Selfridge parameters) above, where prime verdicts are tagged
-'probable'.
+over each segment's primes as one array.  Single-number testing is trial
+division by gcd, then Miller-Rabin with the first 1 to 7 primes as witnesses
+by size below psi_7, and Baillie-PSW (strong base-2 Miller-Rabin plus a
+strong Lucas test with Selfridge parameters) from psi_7 up, where prime
+verdicts are tagged 'probable' at or above 2^64.
 Composite verdicts are always certain: a failed Miller-Rabin round or a
 found factor is a proof.
 """
@@ -28,12 +28,14 @@ U64 = 1 << 64
 SIEVE_LIMIT_MAX = 1 << 40
 _SEGMENT = 1 << 20
 
-# The primes below 1000: trial divisors above 2^64, and by slices the
-# Miller-Rabin witnesses, factorize's first divisors and the primes that
-# poly tries for a mod-p irreducibility certificate.
+# The primes below 1000: trial divisors (by gcd with their products), and by
+# slices the Miller-Rabin witnesses, factorize's first divisors and the
+# primes that poly tries for a mod-p irreducibility certificate.
 _TRIAL_PRIMES = tuple(p for p in range(2, 1000)
                       if all(p % d for d in range(2, math.isqrt(p) + 1)))
 _MR_WITNESSES = _TRIAL_PRIMES[:12]
+_WITNESS_PRODUCT = math.prod(_MR_WITNESSES)
+_TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES[12:])
 
 # (psi_k, k): psi_k is the smallest strong pseudoprime to the first k prime
 # bases, so those bases decide every v < psi_k.  psi_8 = psi_7.
@@ -45,8 +47,6 @@ _MR_TIERS = (
     (2152302898747, 5),
     (3474749660383, 6),
     (341550071728321, 7),
-    (3825123056546413051, 9),  # Jiang, Deng, Math. Comp. 83 (2014)
-    (U64, 12),                 # Sorenson, Webster, Math. Comp. 86 (2017)
 )
 
 
@@ -150,28 +150,25 @@ def _strong_lucas(n: int) -> bool:
     D = _selfridge_d(n)
     if D is None:
         return False
-    P = 1
-    Q = (1 - D) // 4
+    Q = (1 - D) // 4  # and P = 1
 
     k = n + 1
     s = (k & -k).bit_length() - 1
     d = k >> s
 
-    # Binary ladder for U_d, V_d (mod n), tracking Q^index alongside.
-    U, V, Qk = 1, P, Q % n
+    # Binary ladder for V_k, V_{k+1} (mod n) from k = 1, tracking Q^k:
+    # V_2k = V_k^2 - 2 Q^k and V_{2k+1} = V_k V_{k+1} - Q^k.
+    V, W, Qk = 1, (1 - 2 * Q) % n, Q % n
     for bit in bin(d)[3:]:
-        U, V = U * V % n, (V * V - 2 * Qk) % n
-        Qk = Qk * Qk % n
         if bit == "1":
-            U, V = P * U + V, D * U + P * V
-            if U & 1:
-                U += n
-            if V & 1:
-                V += n
-            U, V = (U >> 1) % n, (V >> 1) % n
-            Qk = Qk * Q % n
+            V, W = (V * W - Qk) % n, (W * W - 2 * Qk * Q) % n
+            Qk = Qk * Qk * Q % n
+        else:
+            V, W = (V * V - 2 * Qk) % n, (V * W - Qk) % n
+            Qk = Qk * Qk % n
 
-    if U == 0 or V == 0:
+    # D U_d = 2 V_{d+1} - V_d, and D is a unit mod odd n since (D|n) = -1.
+    if V == 0 or (2 * W - V) % n == 0:
         return True
     for _ in range(s - 1):
         V = (V * V - 2 * Qk) % n
@@ -184,30 +181,28 @@ def _strong_lucas(n: int) -> bool:
 def classify(v: int) -> PrimalityResult:
     """Primality verdict with a certainty tag.
 
-    Below 2^64 the verdict is deterministic (proven Miller-Rabin witness
-    sets, tiered by size).  At or above 2^64 a prime verdict comes from
-    Baillie-PSW and is tagged 'probable'; no counterexample is known.
+    Trial division is a gcd with a product of small primes.  Below psi_7
+    the verdict comes from proven Miller-Rabin witness sets, tiered by
+    size.  From psi_7 up it comes from Baillie-PSW, which decides every
+    v < 2^64: Feitsma (2009) listed the base-2 strong pseudoprimes there
+    and Gilchrist (2013) found that none passes the strong Lucas test
+    (Baillie, Fiori, Wagstaff, Math. Comp. 90, 2021).  At or above 2^64 a
+    prime verdict is tagged 'probable'; no counterexample is known.
     """
     v = int(v)
-    if v < 2:
+    if v <= _MR_WITNESSES[-1]:
+        return PrimalityResult(v in _MR_WITNESSES, DETERMINISTIC)
+    if math.gcd(v, _WITNESS_PRODUCT) != 1:
         return PrimalityResult(False, DETERMINISTIC)
-    for p in _MR_WITNESSES:
-        if v == p:
-            return PrimalityResult(True, DETERMINISTIC)
-        if v % p == 0:
-            return PrimalityResult(False, DETERMINISTIC)
-    if v < U64:
+    if v < _MR_TIERS[-1][0]:
         k = next(k for psi, k in _MR_TIERS if v < psi)
         return PrimalityResult(_miller_rabin(v, _MR_WITNESSES[:k]),
                                DETERMINISTIC)
-    for p in _TRIAL_PRIMES:
-        if v % p == 0:
-            return PrimalityResult(False, DETERMINISTIC)
-    if not _miller_rabin(v, (2,)):
+    if v >= U64 and math.gcd(v, _TRIAL_PRODUCT) != 1:
         return PrimalityResult(False, DETERMINISTIC)
-    if not _strong_lucas(v):
+    if not (_miller_rabin(v, (2,)) and _strong_lucas(v)):
         return PrimalityResult(False, DETERMINISTIC)
-    return PrimalityResult(True, PROBABLE)
+    return PrimalityResult(True, DETERMINISTIC if v < U64 else PROBABLE)
 
 
 def is_prime(v: int) -> bool:

@@ -13,7 +13,7 @@ from batemanhorn import (
     primes_up_to,
     simple_sieve,
 )
-from batemanhorn.primality import _miller_rabin
+from batemanhorn.primality import _miller_rabin, _strong_lucas
 
 
 def independent_odd_sieve(limit: int) -> list[int]:
@@ -132,6 +132,10 @@ WITNESS_TIER_EDGES = (
     (3825123056546413051, 9),
 )
 FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PSI_7, PSI_9 = 341550071728321, 3825123056546413051
+# Strong Lucas pseudoprimes with Selfridge parameters (OEIS A217255).
+STRONG_LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971, 22499, 24569,
+                             25199, 40309, 58519)
 
 
 @pytest.mark.parametrize("psi,k", WITNESS_TIER_EDGES)
@@ -139,6 +143,69 @@ def test_witness_tier_edges(psi, k):
     # psi_k fools the first k bases, so its own tier must not decide it
     assert _miller_rabin(psi, FIRST_PRIMES[:k])
     assert classify(psi) == (False, DETERMINISTIC)
+
+
+@pytest.mark.parametrize("psi", (PSI_7, PSI_9))
+def test_base_2_strong_pseudoprimes_fail_baillie_psw(psi):
+    # from psi_7 up only base 2 runs, so the Lucas stage must reject these
+    assert _miller_rabin(psi, (2,))
+    assert classify(psi) == (False, DETERMINISTIC)
+
+
+@pytest.mark.parametrize("n", STRONG_LUCAS_PSEUDOPRIMES)
+def test_strong_lucas_pseudoprimes_are_composite(n):
+    assert _strong_lucas(n)
+    assert classify(n) == (False, DETERMINISTIC)
+
+
+def test_products_p_times_2p_minus_1_are_deterministic_composites():
+    # p(2p - 1) with both factors prime is the shape of many base-2 strong
+    # pseudoprimes; in [psi_7, 2^64) Baillie-PSW must call it composite
+    rng = random.Random(2021)
+    lo, hi = math.isqrt(PSI_7 // 2), math.isqrt(2**63)
+    checked = 0
+    while checked < 100:
+        p = rng.randrange(lo, hi)
+        v = p * (2 * p - 1)
+        if PSI_7 <= v < 2**64 and is_prime(p) and is_prime(2 * p - 1):
+            assert classify(v) == (False, DETERMINISTIC), v
+            checked += 1
+
+
+def test_baillie_psw_matches_the_12_base_tier_on_sieve_survivors():
+    # values with no prime factor below 1000, as the segment kernel hands
+    # them over, from one 2^20 chunk of 6n^2+1 near n = 1e9 and from n^3+2;
+    # the first 12 primes decide every v < 2^64 (Sorenson, Webster 2017)
+    small = math.prod(np.flatnonzero(simple_sieve(1000)).tolist())
+    rng = random.Random(1009)
+    values = []
+    for f, lo, hi in ((lambda n: 6 * n * n + 1, 10**9, 10**9 + 2**20),
+                      (lambda n: n**3 + 2, 1_600_000, 2_600_000)):
+        sample = []
+        while len(sample) < 1000:
+            v = f(rng.randrange(lo, hi))
+            if math.gcd(v, small) == 1:
+                sample.append(v)
+        values += sample
+    primes = 0
+    for v in values:
+        assert PSI_7 <= v < 2**64
+        expected = _miller_rabin(v, FIRST_PRIMES)
+        assert classify(v) == (expected, DETERMINISTIC), v
+        primes += expected
+    assert 0 < primes < len(values)
+
+
+def test_strong_lucas_against_sympy():
+    primetest = pytest.importorskip("sympy.ntheory.primetest")
+    rng = random.Random(70)
+    verdicts = set()
+    for _ in range(2000):
+        n = rng.randrange(3, 2**70) | 1
+        got = _strong_lucas(n)
+        assert got == primetest.is_strong_lucas_prp(n), n
+        verdicts.add(got)
+    assert verdicts == {False, True}
 
 
 def test_classify_against_sympy_in_every_tier():
