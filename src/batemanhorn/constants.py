@@ -8,7 +8,17 @@ negative fundamental discriminant D, multiplying through by the Dirichlet
 series identity L(1, chi_D) = prod (1 - chi_D(p)/p)^(-1) leaves a product
 whose factors are 1 + O(p^-2) (mode 'accelerated'), absolutely convergent
 and accurate to ~1e-7 already at a 10^6 truncation.  bh_constant chooses
-between the two; both run through one loop over the primes.
+between the two.
+
+Both run through one loop over batches of modular._LANES primes: the root
+counts of a batch come from modular._root_counts, its factors from
+_factors, and its running product from np.cumprod seeded with the product
+carried in.  The result is bit for bit that of a loop doing
+prod *= factor one prime at a time, for two reasons.  Each factor is the
+correctly rounded ratio of two exact integers: where both are at most 2^53
+they are exact in float64 and one IEEE division rounds as int / int does,
+and elsewhere the factor is int / int.  And cumprod multiplies in order,
+one rounding per step, as the loop does.
 
 The error_estimate field is the last-decade drift |value(P) - value(P/10)|,
 an honest heuristic rather than a bound: no rigorous tail estimate exists
@@ -21,12 +31,15 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import modular, primality
 from .errors import NotFundamentalError, NotNegativeError, NotQuadraticError
 from .poly import Polynomial, PolySystem, build_system
 
 NAIVE = "naive"
 ACCELERATED = "accelerated"
+_EXACT = 1 << 53  # every integer up to it is exact in float64
 
 
 @dataclass(frozen=True)
@@ -43,8 +56,11 @@ def bh_constant(system: PolySystem, truncation: int) -> EulerProductResult:
 
     A single quadratic with a negative fundamental discriminant D and
     |D| <= truncation gets the L-accelerated product; everything else gets
-    the direct one.  The bound on |D| keeps the O(|D|) L-value from costing
-    more than the product itself.
+    the direct one.  The bound on |D| caps the L-value, a sum of |D|
+    Kronecker symbols, at as many terms as there are integers up to the
+    truncation.  Near that cap it costs far more than the batched product
+    (1.9 s against 0.03 s at 10^6), the price of factors that are
+    1 + O(p^-2) instead of a conditionally convergent product.
     """
     if system.m == 1 and system.polys[0].degree == 2:
         f = system.polys[0]
@@ -123,41 +139,86 @@ def _euler_product(system: PolySystem, truncation: int,
     1 + O(p^-2); 1/L(1, chi_D) = prod (1 - chi/p) restores the value.  The
     primes dividing 2aD enter, at any size, through the prefactor with their
     own omega, divided by 1 - chi/p so the L-substitution stays exact when
-    chi != 0 there (p dividing 2a but not D).
+    chi != 0 there (p dividing 2a but not D).  In the batches their factors
+    are set to 1.0, which the product skips exactly.
     """
     truncation = int(truncation)
     if truncation < 2:
         raise ValueError(f"truncation must be >= 2, got {truncation}")
     f, m = system.product, system.m
-    l_value, exceptional = None, {}
+    l_value, exceptional, prefactor = None, [], 1.0
     if d is not None:
         l_value = l_value_negative_fundamental(d)
-        exceptional = primality.factorize(2 * f.leading_coefficient * -d)
-    beyond = sorted(p for p in exceptional if p > truncation)
+        exceptional = sorted(
+            primality.factorize(2 * f.leading_coefficient * -d))
+        for q in exceptional:
+            prefactor *= _factor(q, modular._root_count(f, q),
+                                 modular.kronecker(d, q), m)
+    inside = np.array([q for q in exceptional if q <= truncation],
+                      dtype=np.int64)
     tenth = truncation // 10
-    prefactor = prod = 1.0
-    at_tenth = None
-    for p in itertools.chain(primality.primes_up_to(truncation), beyond):
-        if at_tenth is None and p > tenth:
-            at_tenth = prod
-        if d is None:
-            omega, chi = modular._root_count(f, p), 0
-        else:
-            chi = modular.kronecker(d, p)
-            omega = modular._root_count(f, p) if p in exceptional else 1 + chi
-        # one correctly rounded ratio of exact integers, p cancelled when
-        # chi = 0 so that both stay below 2^53 longer (int / int is fastest
-        # there); for omega = 1, M = 1, chi = 0 the factor is exactly 1.0
-        q = p if chi else 1
-        factor = (p - omega) * p**(m - 1) * q / ((p - 1)**m * (q - chi))
-        if p in exceptional:
-            prefactor *= factor
-        else:
-            prod *= factor
-    if at_tenth is None:
-        at_tenth = prod
+    prod = 1.0
+    at_tenth = None  # a prime lies in (tenth, truncation], so it gets set
+    primes = primality.primes_up_to(truncation)
+    while (p := np.fromiter(itertools.islice(primes, modular._LANES),
+                            dtype=np.int64)).size:
+        omega = modular._root_counts(f, p)
+        # off the exceptional primes, chi_D(p) = omega - 1 (accelerated)
+        chi = np.zeros_like(p) if d is None else omega - 1
+        factor = _factors(p, omega, chi, m)
+        factor[np.isin(p, inside)] = 1.0  # in the prefactor instead
+        # sequential, so each step rounds as prod *= factor would
+        running = np.cumprod(np.concatenate(([prod], factor)))
+        k = int(np.searchsorted(p, tenth, side="right"))
+        if at_tenth is None and k < p.size:
+            at_tenth = float(running[k])
+        prod = float(running[-1])
+        del p, omega, chi, factor, running  # one batch alive at a time
     scale = prefactor if l_value is None else prefactor / l_value
     return EulerProductResult(value=scale * prod, truncation=truncation,
                               mode=NAIVE if d is None else ACCELERATED,
                               error_estimate=abs(scale * (prod - at_tenth)),
                               l_value=l_value)
+
+
+def _factor(p: int, omega: int, chi: int, m: int) -> float:
+    """The local factor (1 - omega/p) / ((1 - 1/p)^m (1 - chi/p)) of p.
+
+    One correctly rounded ratio of exact integers, with p cancelled when
+    chi = 0 so that both stay below 2^53 longer; for omega = 1, m = 1,
+    chi = 0 it is exactly 1.0.
+    """
+    q = p if chi else 1
+    return (p - omega) * p**(m - 1) * q / ((p - 1)**m * (q - chi))
+
+
+def _factors(p: np.ndarray, omega: np.ndarray, chi: np.ndarray,
+             m: int) -> np.ndarray:
+    """_factor lane by lane, bit for bit.
+
+    Numerator and denominator are at most p^k, k = m + 1 where chi != 0
+    and k = m where chi = 0.  Where p^k <= 2^53 both are exact in float64,
+    and one IEEE division rounds their ratio correctly, exactly as
+    CPython's int / int does; the other lanes take _factor itself.
+    """
+    out = np.empty(p.size)
+    q = np.where(chi != 0, p, 1)
+    fast = p <= np.where(chi != 0, _exact_base(m + 1), _exact_base(m))
+    i = np.flatnonzero(fast)
+    pf, qf = p[i], q[i]
+    out[i] = ((pf - omega[i]) * pf**(m - 1) * qf
+              / ((pf - 1)**m * (qf - chi[i])))
+    j = np.flatnonzero(~fast)
+    out[j] = [_factor(*v, m) for v in zip(p[j].tolist(), omega[j].tolist(),
+                                          chi[j].tolist())]
+    return out
+
+
+def _exact_base(k: int) -> int:
+    """The largest integer p with p^k <= 2^53."""
+    p = round(2 ** (53 / k))
+    while p**k > _EXACT:
+        p -= 1
+    while (p + 1)**k <= _EXACT:
+        p += 1
+    return p

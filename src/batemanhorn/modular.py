@@ -12,7 +12,10 @@ degree is the count, and equal-degree splitting of it lists the roots
 
 _root_table solves degrees 1 and 2 for a whole array of primes at once, in
 int64 numpy lanes with the same square root (_cipolla), and hands every
-other (f, p) to the same scalar path.
+other (f, p) to the same scalar path.  _root_counts is the count-only form
+of the lanes, for the Euler product: 1 for degree 1 and 1 + (D|p) for
+degree 2, by the Euler criterion step (_lane_split) that _root_table also
+runs before its square roots.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .errors import IdenticallyZeroError, NotPrimeError
 from .poly import Polynomial
 
 _BRUTE_FORCE_LIMIT = 4096
-_LANES = 1 << 13  # primes per batch of _root_table
+_LANES = 1 << 13  # primes per batch of _root_table and the Euler product
 _LANE_LIMIT = 1 << 31  # p below it keeps every lane product below 2^62
 _CANDIDATES = 4  # values of t per lane and round in _cipolla's search
 
@@ -137,6 +140,34 @@ def _root_count(f: Polynomial, p: int) -> int:
         if (2 * a * disc) % p != 0:
             return 1 + kronecker(disc, p)
     return _root_count_gcd(f, p)
+
+
+def _root_counts(f: Polynomial, p: np.ndarray) -> np.ndarray:
+    """_root_count of f at each prime of the int64 array p.
+
+    For degree 1 and 2 the lanes 3 < p < 2^31 where p divides neither the
+    leading coefficient a nor, for degree 2, the discriminant D are counted
+    at once: 1 for degree 1, 1 + (D|p) by _lane_split for degree 2.  Every
+    other prime, and every prime of a higher degree, goes through
+    _root_count.
+    """
+    omega = np.empty_like(p)
+    scalar = (p <= 3) | (p >= _LANE_LIMIT) | (f.degree > 2)
+    lanes = np.flatnonzero(~scalar)
+    if lanes.size:
+        q = p[lanes]
+        red = [c % q for c in f.coeffs]
+        if f.degree == 1:
+            rest = red[1] == 0
+            count = np.ones_like(q)
+        else:
+            rest, split_lanes, _, split = _lane_split(red, q)
+            count = np.zeros_like(q)
+            count[split_lanes] = 2 * split
+        omega[lanes] = count
+        scalar[lanes[rest]] = True
+    omega[scalar] = [_root_count(f, v) for v in p[scalar].tolist()]
+    return omega
 
 
 def _root_count_gcd(f: Polynomial, p: int) -> int:
@@ -286,16 +317,9 @@ def _lane_roots(coeffs: tuple[int, ...], p: np.ndarray
         b, a = red
         r = (q - b) * _lane_pow(a, q - 2, q) % q
     else:
-        c, b, a = red
-        disc = (b * b - 4 * a % p * c) % p  # every product below 2^62
-        rest = (a == 0) | (disc == 0)
-        lanes = np.flatnonzero(~rest)
-        q, disc = p[lanes], disc[lanes]
-        euler = _lane_pow(disc, (q - 1) // 2, q)
-        if np.any((euler != 1) & (euler != q - 1)):
-            raise ArithmeticError("Euler's criterion gave neither 1 nor -1")
-        split = euler == 1
-        lanes, q, disc = lanes[split], q[split], disc[split]
+        rest, lanes, disc, split = _lane_split(red, p)
+        lanes, disc = lanes[split], disc[split]
+        q = p[lanes]
         s = _lane_sqrt(disc, q)
         if np.any(s * s % q != disc):
             raise ArithmeticError("a lane square root failed its check")
@@ -311,6 +335,27 @@ def _lane_roots(coeffs: tuple[int, ...], p: np.ndarray
     if np.any(acc):
         raise ArithmeticError("a lane root failed the check f(r) = 0 (mod p)")
     return q, r, rest
+
+
+def _lane_split(red: list[np.ndarray], p: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Whether a quadratic with coefficients red = (c, b, a) mod each prime
+    3 < p < 2^31 splits, by Euler's criterion on its discriminant D.
+
+    Returns the mask of the lanes left to the scalar path (p divides a or
+    D), the indices of the other lanes, D at those lanes and the mask of
+    those where D is a square.  Raises if the criterion gives neither 1 nor
+    -1, so an arithmetic fault cannot pass silently.
+    """
+    c, b, a = red
+    disc = (b * b - 4 * a % p * c) % p  # every product below 2^62
+    rest = (a == 0) | (disc == 0)
+    lanes = np.flatnonzero(~rest)
+    q, disc = p[lanes], disc[lanes]
+    euler = _lane_pow(disc, (q - 1) // 2, q)
+    if np.any((euler != 1) & (euler != q - 1)):
+        raise ArithmeticError("Euler's criterion gave neither 1 nor -1")
+    return rest, lanes, disc, euler == 1
 
 
 def _lane_pow(base: np.ndarray, exp: np.ndarray, p: np.ndarray) -> np.ndarray:

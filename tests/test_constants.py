@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -180,6 +181,96 @@ def test_accelerated_exceptional_primes_at_any_truncation():
             expected = prefactor / l_value_negative_fundamental(d) * prod
             assert bh_constant_accelerated(f, truncation).value == expected, \
                 (text, truncation)
+
+
+def per_prime_euler_product(system, truncation, d):
+    """The Euler product as one loop over the primes, prod *= factor at each:
+    the oracle for the batched constants._euler_product."""
+    from batemanhorn.constants import ACCELERATED, NAIVE, EulerProductResult
+    from batemanhorn.modular import _root_count, kronecker
+    from batemanhorn.primality import factorize, primes_up_to
+    f, m = system.product, system.m
+    l_value, exceptional = None, {}
+    if d is not None:
+        l_value = l_value_negative_fundamental(d)
+        exceptional = factorize(2 * f.leading_coefficient * -d)
+    beyond = sorted(p for p in exceptional if p > truncation)
+    tenth = truncation // 10
+    prefactor = prod = 1.0
+    at_tenth = None
+    for p in itertools.chain(primes_up_to(truncation), beyond):
+        if at_tenth is None and p > tenth:
+            at_tenth = prod
+        if d is None:
+            omega, chi = _root_count(f, p), 0
+        else:
+            chi = kronecker(d, p)
+            omega = _root_count(f, p) if p in exceptional else 1 + chi
+        q = p if chi else 1
+        factor = (p - omega) * p**(m - 1) * q / ((p - 1)**m * (q - chi))
+        if p in exceptional:
+            prefactor *= factor
+        else:
+            prod *= factor
+    scale = prefactor if l_value is None else prefactor / l_value
+    return EulerProductResult(value=scale * prod, truncation=truncation,
+                              mode=NAIVE if d is None else ACCELERATED,
+                              error_estimate=abs(scale * (prod - at_tenth)),
+                              l_value=l_value)
+
+
+# (system, d): d is None for the direct product.  {n, n+2, n+6} and n^3+2
+# have products of degree 3, so every root count is scalar; D = -171 of
+# 5n^2+7n+11 is not fundamental, and 2, 3, 5, 19 divide 2aD; the
+# exceptional prime 101 of 101n^2+1 lies beyond every truncation below it.
+BATCHED_SYSTEMS = [
+    (("2*n+1",), None),
+    (("n", "2*n+1"), None),
+    (("n", "n+2", "n+6"), None),
+    (("n^2-2",), None),
+    (("5*n^2+7*n+11",), None),
+    (("6*n^2+1",), None),
+    (("6*n^2+1",), -24),
+    (("101*n^2+1",), -404),
+    (("n^3+2",), None),
+]
+
+
+@pytest.mark.parametrize("texts,d", BATCHED_SYSTEMS,
+                         ids=[" ".join(t) + ("" if d is None else " accel")
+                              for t, d in BATCHED_SYSTEMS])
+def test_batched_product_equals_per_prime_loop(monkeypatch, texts, d):
+    # the last truncation spans two batches of 2^13 primes and then 19 of
+    # 512 (two for a product of degree 3, whose scalar root counts cost
+    # more), with the tenth inside a batch either way
+    from batemanhorn import modular
+    from batemanhorn.constants import _euler_product
+    s = system(*texts)
+    last = 100_003 if s.product.degree <= 2 else 5_003
+    for truncation in (2, 3, 10, 30, 97, last):  # the tenth of 30 is prime
+        assert _euler_product(s, truncation, d) == \
+            per_prime_euler_product(s, truncation, d), truncation
+    monkeypatch.setattr(modular, "_LANES", 512)
+    assert _euler_product(s, last, d) == per_prime_euler_product(s, last, d)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_factors_equal_int_over_int(m):
+    # the lane form against int / int, on both sides of each p^k = 2^53
+    # edge (k = m for chi = 0, k = m + 1 otherwise), just below 2^31 and
+    # where p^2 > 2^53
+    from batemanhorn.constants import _exact_base, _factors
+    edges = [_exact_base(k) for k in (m, m + 1)]
+    assert all(b**k <= 2**53 < (b + 1)**k for b, k in zip(edges, (m, m + 1)))
+    ps = sorted({p for b in edges for p in range(b - 3, b + 4)} |
+                set(range(2, 12)) | set(range(2**31 - 20, 2**31)) |
+                {94906267, 2**40 - 87})
+    lanes = [(p, omega, chi) for p in ps for omega in (0, 1, 2, 3)
+             for chi in (-1, 0, 1) if omega < p]
+    p, omega, chi = (np.array(v, dtype=np.int64) for v in zip(*lanes))
+    expected = [(p - w) * p**(m - 1) * (p if c else 1) /
+                ((p - 1)**m * ((p if c else 1) - c)) for p, w, c in lanes]
+    assert _factors(p, omega, chi, m).tolist() == expected
 
 
 def test_accelerated_agrees_with_naive_within_drift():

@@ -65,6 +65,23 @@ GOLDEN = [
       "--accelerate", "naive", "--format", "csv"),
      "value,mode,truncation,error_estimate,l_value\n"
      "1.2965300987572597,naive,10000,0.0037755391920561987,\n"),
+    # accelerated: the exceptional primes 2 and 3 enter the prefactor
+    (("constant", "--poly", "6*n^2+1", "--truncate", "1e6",
+      "--format", "csv"),
+     "value,mode,truncation,error_estimate,l_value\n"
+     "2.139124878721443,accelerated,1000000,4.7727389162883553e-09,"
+     "1.2825498301618641\n"),
+    # D = -171 is not fundamental, so the product is the direct one
+    (("constant", "--poly", "5*n^2+7*n+11", "--truncate", "1e5",
+      "--format", "csv"),
+     "value,mode,truncation,error_estimate,l_value\n"
+     "1.6744063347298408,naive,100000,0.00028287603750620782,\n"),
+    # a product of degree 3 from three linear factors; --truncate comes
+    # first to give the case its own test id
+    (("constant", "--truncate", "1e4", "--poly", "n", "--poly", "n+2",
+      "--poly", "n+6", "--format", "csv"),
+     "value,mode,truncation,error_estimate,l_value\n"
+     "2.858332775804147,naive,10000,0.0010064748169344995,\n"),
     (("reproduce", "1", "--cap", "1e5", "--workers", "1"),
      "reproducing table 1: system {n, 2*n + 1}, constant 1.320323721 "
      "(naive)\n"

@@ -312,3 +312,37 @@ def test_root_table_prime_above_2_31():
         assert p.dtype == r.dtype == np.int64
         assert p.tolist() == [q] * len(r), text
         assert r.tolist() == list(list_roots(f, q).roots), text
+
+
+# ---------------------------------------------------------------------------
+# batched root counts
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("text", [
+    "2*n+1", "6*n+3",
+    "5*n+10",  # vanishes identically mod 5: omega = p
+    "2*n^2+n",  # n (2n + 1)
+    "n^2-2", "6*n^2+1", "101*n^2+1",
+    "5*n^2+7*n+11",  # 2aD = -1710: 2, 3, 5 and 19 on the scalar path
+    "n^2+2*n+1",  # D = 0: every prime on the scalar path
+    "7*n^2+14",  # vanishes identically mod 7
+    "720720*n^2+1",
+    "n^3+8*n^2+12*n", "n^3+2",  # degree 3: every prime scalar
+])
+def test_root_counts_match_root_count(text):
+    f = parse_polynomial(text)
+    # 2 and 3, the small primes that divide 2aD, the last primes below
+    # 2^31 and 2147483659, the first above it (scalar)
+    p = np.array(PRIMES_TO_997 + [2147483587, 2147483629, 2147483647,
+                                  2147483659], dtype=np.int64)
+    omega = modular._root_counts(f, p)
+    assert omega.dtype == np.int64
+    assert omega.tolist() == [_root_count(f, q) for q in p.tolist()]
+
+
+def test_root_counts_raise_when_euler_criterion_fails(monkeypatch):
+    monkeypatch.setattr(modular, "_lane_pow",
+                        lambda base, exp, p: np.full_like(p, 2))
+    with pytest.raises(ArithmeticError):
+        modular._root_counts(parse_polynomial("n^2+1"),
+                             np.array([5, 7, 11], dtype=np.int64))
