@@ -3,16 +3,15 @@
 Polynomials are lists of residues in ascending degree order; [] is the zero
 polynomial.  Only what root counting, root listing and mod-p irreducibility
 certificates need: difference, product, remainder, quotient, gcd, modular
-exponentiation, and linear_part(f) = gcd(x^p - x, f), the one place that
-computes it.  Everything is O(d^2) per multiplication, fine for the small
-degrees used here.
+exponentiation and distinct_degree, the one chain x^(p^k) mod f, which
+gives both the roots and irreducibility.  Everything is O(d^2) per
+multiplication, fine for the small degrees used here.
 """
 
 from __future__ import annotations
 
 from itertools import zip_longest
-
-from . import primality
+from typing import Iterator
 
 
 def trim(a: list[int]) -> list[int]:
@@ -95,31 +94,31 @@ def pow_mod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
     return result
 
 
-def linear_part(f: list[int], p: int) -> list[int]:
-    """gcd(x^p - x, f): the monic product of the distinct linear factors
-    of f over GF(p), f nonzero."""
-    return gcd(sub(pow_mod([0, 1], p, f, p), [0, 1], p), f, p)
+def distinct_degree(f: list[int], p: int
+                    ) -> Iterator[tuple[int, list[int]]]:
+    """(k, g_k) for k = 1, 2, ...: g_k = gcd(x^(p^k) - x, f_k), monic, where
+    f_k is the nonzero f with g_1 ... g_(k-1) divided out; once 2k > deg f_k
+    the chain ends with (deg f_k, f_k) unless f_k is constant.  For
+    squarefree f, g_k is the product of f's irreducible factors of degree k,
+    and that last f_k is irreducible.  Callers stop the chain when they have
+    what they need (Cantor and Zassenhaus, Math. Comp. 36, 1981)."""
+    rest, h, k = gcd(f, [], p), [0, 1], 1  # gcd(f, 0): f made monic
+    while 2 * k <= degree(rest):
+        h = pow_mod(h, p, rest, p)
+        g = gcd(sub(h, [0, 1], p), rest, p)
+        yield k, g
+        if degree(g) > 0:
+            rest = quo(rest, g, p)  # h stays x^(p^k) mod rest
+        k += 1
+    if degree(rest) > 0:
+        yield degree(rest), rest
 
 
 def is_irreducible(f: list[int], p: int) -> bool:
-    """Irreducibility of f over GF(p) (Rabin's test).
-
-    f is irreducible of degree d iff x^(p^d) = x mod f and, for every prime
-    q | d, gcd(x^(p^(d/q)) - x, f) is constant.  One chain of p-th powers
-    x^(p^k), k = 1..d, serves every check.  No squarefree pre-check is
-    needed: x^(p^d) - x is squarefree, so f with a repeated factor fails
-    the divisibility (Rabin, SIAM J. Comput. 9, 1980).
-    """
+    """Irreducibility of f over GF(p): f of degree d >= 1 is irreducible iff
+    the first nontrivial g_k of distinct_degree has k = d.  A reducible f,
+    repeated factors included, has an irreducible factor of degree <= d/2,
+    and the chain stops there."""
     f = trim([c % p for c in f])
-    d = degree(f)
-    if d <= 0:
-        return False
-    if d == 1:
-        return True
-    checks = {d // q for q in primality.factorize(d)}
-    x = h = [0, 1]
-    for k in range(1, d + 1):
-        h = pow_mod(h, p, f, p)
-        if k in checks and degree(gcd(sub(h, x, p), f, p)) > 0:
-            return False
-    return not sub(h, x, p)
+    return degree(f) >= 1 and degree(f) == next(
+        k for k, g in distinct_degree(f, p) if degree(g) > 0)

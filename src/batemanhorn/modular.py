@@ -6,9 +6,9 @@ factor of the Euler product, and explicit root lists drive the counting
 engine's pre-sieve.  Degree 1 has a closed form, and degree 2 reads the
 count off a Kronecker symbol of the discriminant D (sqrt_mod of D lists the
 roots: the (p+1)/4 exponent for p = 3 (mod 4), else Cipolla's method).
-Higher degrees take _gfpoly.linear_part = gcd(x^p - x, f) over GF(p): its
-degree is the count, and equal-degree splitting of it lists the roots
-(small p are brute-forced instead).
+Higher degrees take g_1 = gcd(x^p - x, f) over GF(p), the first step of
+_gfpoly.distinct_degree: its degree is the count, and equal-degree
+splitting of it lists the roots (small p are brute-forced instead).
 
 _root_table solves degrees 1 and 2 for a whole array of primes at once, in
 int64 numpy lanes with the same square root (_cipolla), and hands every
@@ -171,11 +171,12 @@ def _root_counts(f: Polynomial, p: np.ndarray) -> np.ndarray:
 
 
 def _root_count_gcd(f: Polynomial, p: int) -> int:
-    """omega_f(p) by deg gcd(x^p - x, f) over GF(p), no shortcuts."""
+    """omega_f(p) by deg gcd(x^p - x, f) over GF(p), no shortcuts; a nonzero
+    constant reduction has no chain step, so its g_1 is [1]."""
     fbar = _reduce(f, p)
     if not fbar:
         return p  # vanishes identically
-    return _gfpoly.degree(_gfpoly.linear_part(fbar, p))
+    return _gfpoly.degree(next(_gfpoly.distinct_degree(fbar, p), (1, [1]))[1])
 
 
 def list_roots(f: Polynomial, p: int) -> RootSet:
@@ -183,8 +184,8 @@ def list_roots(f: Polynomial, p: int) -> RootSet:
 
     Degrees 1 and 2 are solved by formula at every p (inverse, respectively
     sqrt_mod of the discriminant).  Higher degrees brute-force the
-    residues for p <= 4096 and use equal-degree splitting of
-    gcd(x^p - x, f) above that.
+    residues for p <= 4096 and above that split g_1 = gcd(x^p - x, f), the
+    first step of the distinct-degree chain, into its linear factors.
     """
     _require_prime(p)
     fbar = _reduce(f, p)
@@ -216,7 +217,7 @@ def _roots_of_reduced(fbar: list[int], p: int) -> list[int]:
         return [(-b + s) * inv2a % p, (-b - s) * inv2a % p]
     if p <= _BRUTE_FORCE_LIMIT:
         return _brute_force_roots(fbar, p)
-    return _split_linear_product(_gfpoly.linear_part(fbar, p), p)
+    return _split_linear_product(next(_gfpoly.distinct_degree(fbar, p))[1], p)
 
 
 def _brute_force_roots(fbar: list[int], p: int) -> list[int]:

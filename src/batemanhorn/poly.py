@@ -379,10 +379,10 @@ def irreducibility_evidence(f: Polynomial) -> str:
 
     Degree 1 is always irreducible.  A rational root gives a linear factor
     (hard error); its absence decides degrees 2 and 3 completely.  For
-    degree >= 4 we look for a prime p with f irreducible mod p, which
-    certifies irreducibility over the integers; if no small prime certifies
-    the verdict stays heuristic.  A heuristic f may still have a factor of
-    degree >= 2: n^20+n+1 = (n^2+n+1)(n^18 - n^17 + ... + 1) is one.
+    degree >= 4 we look for a prime p with f irreducible mod p (at most d/2
+    chain steps each), which certifies irreducibility over the integers; if
+    none does, the verdict stays heuristic.  A heuristic f may still have a
+    factor of degree >= 2: n^20+n+1 = (n^2+n+1)(n^18 - ... + 1) is one.
     """
     if f.degree == 1:
         return "certified"

@@ -30,7 +30,7 @@ _SEGMENT = 1 << 20
 
 # The primes below 1000: trial divisors (by gcd with their products), and by
 # slices the Miller-Rabin witnesses, factorize's first divisors and the
-# primes that poly tries for a mod-p irreducibility certificate.
+# primes p at which poly looks for a certificate (f irreducible mod p).
 _TRIAL_PRIMES = tuple(p for p in range(2, 1000)
                       if all(p % d for d in range(2, math.isqrt(p) + 1)))
 _MR_WITNESSES = _TRIAL_PRIMES[:12]
@@ -210,7 +210,7 @@ def is_prime(v: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Factoring (admissibility witnesses, GF(p) irreducibility tests)
+# Factoring (admissibility witnesses, the constant's discriminants)
 # ---------------------------------------------------------------------------
 
 def _pollard_rho(n: int) -> int:

@@ -53,6 +53,15 @@ GOLDEN = [
      "100,10\n"
      "1000,74\n"
      "# certainty: deterministic\n"),
+    # degree 4: at the primes 4096 < p <= 5000 of the pre-sieve the roots
+    # come from g_1 = gcd(x^p - x, f), the GF(p) chain's first step
+    (("count", "--poly", "n^4+n+1", "--x", "1e4", "--presieve", "5000",
+      "--workers", "1", "--format", "csv"),
+     "x,count\n"
+     "100,21\n"
+     "1000,110\n"
+     "10000,750\n"
+     "# certainty: deterministic\n"),
     (("constant", "--poly", "n", "--poly", "2*n+1", "--truncate", "1e6",
       "--accelerate", "naive", "--format", "csv"),
      "value,mode,truncation,error_estimate,l_value\n"
@@ -65,6 +74,12 @@ GOLDEN = [
       "--accelerate", "naive", "--format", "csv"),
      "value,mode,truncation,error_estimate,l_value\n"
      "1.2965300987572597,naive,10000,0.0037755391920561987,\n"),
+    # every omega(p) of a quartic takes the gcd path, and no prime
+    # certifies n^4+1, so the verdict is heuristic (with a warning)
+    (("constant", "--poly", "n^4+1", "--truncate", "1e4",
+      "--format", "csv"),
+     "value,mode,truncation,error_estimate,l_value\n"
+     "2.6727043525502552,naive,10000,0.018901541961223955,\n"),
     # accelerated: the exceptional primes 2 and 3 enter the prefactor
     (("constant", "--poly", "6*n^2+1", "--truncate", "1e6",
       "--format", "csv"),

@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 import warnings
@@ -435,8 +436,8 @@ def test_gf_irreducibility_matches_sympy():
 
 
 @pytest.mark.parametrize("f,p,expected", [
-    # g^2 h, g = x^2+x+1, h = x^3+x+1: no linear factor, so only the final
-    # condition x^(2^7) = x mod f sees the repeated factor
+    # g^2 h, g = x^2+x+1, h = x^3+x+1: no linear factor, so the chain's
+    # second step g_2 = x^2+x+1 is the first to see the repeated factor
     ([1, 1, 1, 0, 1, 0, 0, 1], 2, False),
     ([1, 5, 10, 10, 5, 1], 5, False),   # (x+1)^5
     ([0, 0, 1], 7, False),              # x^2
@@ -445,3 +446,76 @@ def test_gf_irreducibility_matches_sympy():
 def test_gf_irreducibility_repeated_factors(f, p, expected):
     from batemanhorn import _gfpoly
     assert _gfpoly.is_irreducible(f, p) == expected
+
+
+def test_distinct_degree_matches_sympy():
+    # the chain's nontrivial steps are sympy's distinct-degree factorization
+    # of a monic squarefree f (sympy lists coefficients high to low)
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_ddf_zassenhaus, gf_sqf_p
+    from batemanhorn import _gfpoly
+    rng = random.Random(1981)
+    cases = 0
+    while cases < 500:
+        p = rng.choice((3, 5, 7, 11, 13, 101, 4099, 65537))
+        d = rng.randint(1, 12)
+        f = [rng.randrange(p) for _ in range(d)] + [1]
+        if not gf_sqf_p(f[::-1], p, ZZ):
+            continue
+        cases += 1
+        expected = [(k, [int(c) for c in g[::-1]])
+                    for g, k in gf_ddf_zassenhaus(f[::-1], p, ZZ)]
+        got = [(k, g) for k, g in _gfpoly.distinct_degree(f, p)
+               if _gfpoly.degree(g) > 0]
+        assert got == expected, (f, p)
+
+
+def test_irreducibility_chain_stops_at_first_factor(monkeypatch):
+    # x^64+x+7 has the root 1 mod 3, so the chain's first step decides and
+    # no further power of x is taken; x^4+x+1, irreducible mod 2, takes
+    # d/2 = 2 steps
+    from batemanhorn import _gfpoly
+    steps = []
+    pow_mod = _gfpoly.pow_mod
+
+    def spy(*args):
+        steps.append(args)
+        return pow_mod(*args)
+
+    monkeypatch.setattr(_gfpoly, "pow_mod", spy)
+    f = [7, 1] + [0] * 62 + [1]
+    assert not _gfpoly.is_irreducible(f, 3)
+    assert len(steps) == 1
+    assert _gfpoly.is_irreducible([1, 1, 0, 0, 1], 2)
+    assert len(steps) == 3
+
+
+def test_irreducibility_certificate_is_sound():
+    # certified implies one irreducible factor over the integers, and
+    # IrreducibilityError implies a factor; heuristic is not checked.  Most
+    # draws are products, many of them without a linear factor.
+    sympy = pytest.importorskip("sympy")
+    n = sympy.Symbol("n")
+    rng = random.Random(4099)
+    seen = collections.Counter()
+    for _ in range(300):
+        degrees = rng.choice(((4,), (5,), (6,), (8,), (1, 3), (2, 2),
+                              (2, 3), (2, 4), (3, 3), (2, 6), (4, 4)))
+        f = _multiply(Polynomial(tuple(rng.randint(-9, 9) for _ in range(d))
+                                 + (rng.randint(1, 4),)) for d in degrees)
+        _, parts = sympy.Poly(f.coeffs[::-1], n).factor_list()
+        irreducible = len(parts) == 1 and parts[0][1] == 1
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                verdict = irreducibility_evidence(f)
+        except IrreducibilityError:
+            verdict = "error"
+        if verdict == "certified":
+            assert irreducible, f
+        elif verdict == "error":
+            assert not irreducible, f
+        seen[verdict, irreducible] += 1
+    assert min(seen["certified", True], seen["error", False],
+               seen["heuristic", False]) >= 50, seen
