@@ -63,10 +63,9 @@ def bh_constant(system: PolySystem, truncation: int) -> EulerProductResult:
     1 + O(p^-2) instead of a conditionally convergent product.
     """
     if system.m == 1 and system.polys[0].degree == 2:
-        f = system.polys[0]
-        d = discriminant(f)
+        d = discriminant(system.polys[0])
         if -int(truncation) <= d < 0 and is_fundamental_discriminant(d):
-            return bh_constant_accelerated(f, truncation)
+            return _euler_product(system, truncation, d)
     return bh_constant_naive(system, truncation)
 
 

@@ -21,7 +21,7 @@ The automatic bound (presieve_bound None) follows what the table costs per
 prime, which the degrees decide.  Measured on a 2-core Xeon, CPython 3.11,
 numpy 2.4: degrees 1 and 2 are solved in numpy lanes at about 3 us a prime,
 while a cubic takes the scalar gcd(x^p - x, f) path at about 180 us a
-prime.  A Miller-Rabin test of a prime value near 6e12 costs about 90 us.
+prime.  A Baillie-PSW test of a prime value near 6e12 costs about 45 us.
 So when every f_i has degree <= 2, B is capped only at 2^25: pi(2^25) =
 2,063,689 primes cost about 6 s and 16 MB for one quadratic, and the cap
 covers the full bound of `reproduce 2 --cap 1e7` (isqrt(6e14) + 1 =

@@ -1,5 +1,4 @@
-"""Modular arithmetic kernel: Kronecker symbols and roots of polynomials
-modulo a prime.
+"""Modular arithmetic kernel: roots of polynomials modulo a prime.
 
 The root count omega(p) of the system's product polynomial drives every local
 factor of the Euler product, and explicit root lists drive the counting
@@ -9,6 +8,7 @@ roots: the (p+1)/4 exponent for p = 3 (mod 4), else Cipolla's method).
 Higher degrees take g_1 = gcd(x^p - x, f) over GF(p), the first step of
 _gfpoly.distinct_degree: its degree is the count, and equal-degree
 splitting of it lists the roots (small p are brute-forced instead).
+kronecker is imported from primality, whose Lucas test needs it too.
 
 _root_table solves degrees 1 and 2 for a whole array of primes at once, in
 int64 numpy lanes with the same square root (_cipolla), and hands every
@@ -29,6 +29,7 @@ import numpy as np
 from . import _gfpoly, primality
 from .errors import IdenticallyZeroError, NotPrimeError
 from .poly import Polynomial
+from .primality import kronecker
 
 _BRUTE_FORCE_LIMIT = 4096
 _LANES = 1 << 13  # primes per batch of _root_table and the Euler product
@@ -47,40 +48,6 @@ class RootSet:
     p: int
     omega: int
     roots: tuple[int, ...] | None = None
-
-
-def kronecker(a: int, m: int) -> int:
-    """Kronecker symbol (a|m) by the binary reciprocity algorithm.
-
-    Extends the Legendre/Jacobi symbol to all integer m, so negative and
-    even moduli are fine; (a|p) for odd prime p is the Legendre symbol.
-    """
-    a, m = int(a), int(m)
-    if m == 0:
-        return 1 if a in (1, -1) else 0
-    result = 1
-    if m < 0:
-        m = -m
-        if a < 0:
-            result = -1
-    if m % 2 == 0:
-        if a % 2 == 0:
-            return 0
-        tz = (m & -m).bit_length() - 1
-        m >>= tz
-        if tz & 1 and a % 8 in (3, 5):
-            result = -result
-    a %= m
-    while a:
-        while a % 2 == 0:
-            a >>= 1
-            if m % 8 in (3, 5):
-                result = -result
-        a, m = m, a
-        if a % 4 == 3 and m % 4 == 3:
-            result = -result
-        a %= m
-    return result if m == 1 else 0
 
 
 def _require_prime(p: int) -> None:

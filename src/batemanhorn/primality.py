@@ -4,12 +4,11 @@ primes_up_to streams a segmented sieve of Eratosthenes: numpy masks over
 fixed 2^20 segments, struck by the base primes that simple_sieve finds up to
 sqrt(limit); it yields from _prime_segments, the sieve itself, which hands
 over each segment's primes as one array.  Single-number testing is trial
-division by gcd, then Miller-Rabin with the first 1 to 7 primes as witnesses
-by size below psi_7, and Baillie-PSW (strong base-2 Miller-Rabin plus a
-strong Lucas test with Selfridge parameters) from psi_7 up, where prime
-verdicts are tagged 'probable' at or above 2^64.
-Composite verdicts are always certain: a failed Miller-Rabin round or a
-found factor is a proof.
+division by gcd, then Baillie-PSW: a strong base-2 Miller-Rabin round plus
+a strong Lucas test with Selfridge parameters, whose D comes from kronecker.
+Prime verdicts are tagged 'probable' at or above 2^64.
+Composite verdicts are always certain: a failed Miller-Rabin or Lucas test
+or a found factor is a proof.
 """
 
 from __future__ import annotations
@@ -29,25 +28,14 @@ SIEVE_LIMIT_MAX = 1 << 40
 _SEGMENT = 1 << 20
 
 # The primes below 1000: trial divisors (by gcd with their products), and by
-# slices the Miller-Rabin witnesses, factorize's first divisors and the
-# primes p at which poly looks for a certificate (f irreducible mod p).
+# slices the primes up to 37 that classify decides by membership,
+# factorize's first divisors and the primes p at which poly looks for a
+# certificate (f irreducible mod p).
 _TRIAL_PRIMES = tuple(p for p in range(2, 1000)
                       if all(p % d for d in range(2, math.isqrt(p) + 1)))
-_MR_WITNESSES = _TRIAL_PRIMES[:12]
-_WITNESS_PRODUCT = math.prod(_MR_WITNESSES)
+_SMALL_PRIMES = _TRIAL_PRIMES[:12]
+_SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
 _TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES[12:])
-
-# (psi_k, k): psi_k is the smallest strong pseudoprime to the first k prime
-# bases, so those bases decide every v < psi_k.  psi_8 = psi_7.
-_MR_TIERS = (
-    (2047, 1),                 # Pomerance, Selfridge, Wagstaff,
-    (1373653, 2),              # Math. Comp. 35 (1980)
-    (25326001, 3),
-    (3215031751, 4),           # Jaeschke, Math. Comp. 61 (1993)
-    (2152302898747, 5),
-    (3474749660383, 6),
-    (341550071728321, 7),
-)
 
 
 class PrimalityResult(NamedTuple):
@@ -129,9 +117,42 @@ def _miller_rabin(n: int, bases) -> bool:
     return True
 
 
+def kronecker(a: int, m: int) -> int:
+    """Kronecker symbol (a|m) by the binary reciprocity algorithm.
+
+    Extends the Legendre/Jacobi symbol to all integer m, so negative and
+    even moduli are fine; (a|p) for odd prime p is the Legendre symbol.
+    """
+    a, m = int(a), int(m)
+    if m == 0:
+        return 1 if a in (1, -1) else 0
+    result = 1
+    if m < 0:
+        m = -m
+        if a < 0:
+            result = -1
+    if m % 2 == 0:
+        if a % 2 == 0:
+            return 0
+        tz = (m & -m).bit_length() - 1
+        m >>= tz
+        if tz & 1 and a % 8 in (3, 5):
+            result = -result
+    a %= m
+    while a:
+        while a % 2 == 0:
+            a >>= 1
+            if m % 8 in (3, 5):
+                result = -result
+        a, m = m, a
+        if a % 4 == 3 and m % 4 == 3:
+            result = -result
+        a %= m
+    return result if m == 1 else 0
+
+
 def _selfridge_d(n: int) -> int | None:
     """First D in 5, -7, 9, -11, ... with (D|n) = -1; None marks composite."""
-    from .modular import kronecker
     d = 5
     while True:
         j = kronecker(d, n)
@@ -181,23 +202,19 @@ def _strong_lucas(n: int) -> bool:
 def classify(v: int) -> PrimalityResult:
     """Primality verdict with a certainty tag.
 
-    Trial division is a gcd with a product of small primes.  Below psi_7
-    the verdict comes from proven Miller-Rabin witness sets, tiered by
-    size.  From psi_7 up it comes from Baillie-PSW, which decides every
-    v < 2^64: Feitsma (2009) listed the base-2 strong pseudoprimes there
-    and Gilchrist (2013) found that none passes the strong Lucas test
+    Trial division is a gcd with the product of the primes up to 37, and
+    from 2^64 up a second gcd with the other primes below 1000.  Then
+    Baillie-PSW decides, which is deterministic for every v < 2^64:
+    Feitsma (2009) listed the base-2 strong pseudoprimes there and
+    Gilchrist (2013) found that none passes the strong Lucas test
     (Baillie, Fiori, Wagstaff, Math. Comp. 90, 2021).  At or above 2^64 a
     prime verdict is tagged 'probable'; no counterexample is known.
     """
     v = int(v)
-    if v <= _MR_WITNESSES[-1]:
-        return PrimalityResult(v in _MR_WITNESSES, DETERMINISTIC)
-    if math.gcd(v, _WITNESS_PRODUCT) != 1:
+    if v <= _SMALL_PRIMES[-1]:
+        return PrimalityResult(v in _SMALL_PRIMES, DETERMINISTIC)
+    if math.gcd(v, _SMALL_PRODUCT) != 1:
         return PrimalityResult(False, DETERMINISTIC)
-    if v < _MR_TIERS[-1][0]:
-        k = next(k for psi, k in _MR_TIERS if v < psi)
-        return PrimalityResult(_miller_rabin(v, _MR_WITNESSES[:k]),
-                               DETERMINISTIC)
     if v >= U64 and math.gcd(v, _TRIAL_PRODUCT) != 1:
         return PrimalityResult(False, DETERMINISTIC)
     if not (_miller_rabin(v, (2,)) and _strong_lucas(v)):

@@ -53,6 +53,17 @@ GOLDEN = [
      "100,10\n"
      "1000,74\n"
      "# certainty: deterministic\n"),
+    # a low pre-sieve bound leaves 10,495 survivors for classify, spread
+    # from below 2047 to [341550071728321, 2^64); --presieve comes first to
+    # give the case its own test id
+    (("count", "--presieve", "1000", "--poly", "n^3+2", "--x", "1e5",
+      "--workers", "1", "--format", "csv"),
+     "x,count\n"
+     "100,10\n"
+     "1000,74\n"
+     "10000,520\n"
+     "100000,4059\n"
+     "# certainty: deterministic\n"),
     # degree 4: at the primes 4096 < p <= 5000 of the pre-sieve the roots
     # come from g_1 = gcd(x^p - x, f), the GF(p) chain's first step
     (("count", "--poly", "n^4+n+1", "--x", "1e4", "--presieve", "5000",

@@ -422,7 +422,8 @@ def test_irreducibility_rational_roots_fail_hard():
 
 
 def test_gf_irreducibility_matches_sympy():
-    # Rabin's test over GF(p), which certifies degree >= 4 over the integers
+    # the distinct-degree chain over GF(p), which certifies degree >= 4 over
+    # the integers
     sympy = pytest.importorskip("sympy")
     from batemanhorn import _gfpoly
     x = sympy.Symbol("x")

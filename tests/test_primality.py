@@ -140,7 +140,7 @@ STRONG_LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971, 22499, 24569,
 
 @pytest.mark.parametrize("psi,k", WITNESS_TIER_EDGES)
 def test_witness_tier_edges(psi, k):
-    # psi_k fools the first k bases, so its own tier must not decide it
+    # psi_k fools the first k bases; Baillie-PSW must still call it composite
     assert _miller_rabin(psi, FIRST_PRIMES[:k])
     assert classify(psi) == (False, DETERMINISTIC)
 
@@ -160,16 +160,22 @@ def test_strong_lucas_pseudoprimes_are_composite(n):
 
 def test_products_p_times_2p_minus_1_are_deterministic_composites():
     # p(2p - 1) with both factors prime is the shape of many base-2 strong
-    # pseudoprimes; in [psi_7, 2^64) Baillie-PSW must call it composite
+    # pseudoprimes; in [psi_7, 2^64) and [10^6, psi_7) Baillie-PSW must call
+    # it composite, and below psi_7 some of them pass base 2, so the Lucas
+    # stage decides those
     rng = random.Random(2021)
-    lo, hi = math.isqrt(PSI_7 // 2), math.isqrt(2**63)
-    checked = 0
-    while checked < 100:
-        p = rng.randrange(lo, hi)
-        v = p * (2 * p - 1)
-        if PSI_7 <= v < 2**64 and is_prime(p) and is_prime(2 * p - 1):
-            assert classify(v) == (False, DETERMINISTIC), v
-            checked += 1
+    for lo_v, hi_v in ((PSI_7, 2**64), (10**6, PSI_7)):
+        lo, hi = math.isqrt(lo_v // 2), math.isqrt(hi_v // 2)
+        checked = base_2_passes = 0
+        while checked < 100:
+            p = rng.randrange(lo, hi)
+            v = p * (2 * p - 1)
+            if lo_v <= v < hi_v and is_prime(p) and is_prime(2 * p - 1):
+                assert classify(v) == (False, DETERMINISTIC), v
+                base_2_passes += _miller_rabin(v, (2,))
+                checked += 1
+        if hi_v == PSI_7:
+            assert base_2_passes > 0
 
 
 def test_baillie_psw_matches_the_12_base_tier_on_sieve_survivors():
