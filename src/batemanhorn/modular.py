@@ -10,12 +10,19 @@ _gfpoly.distinct_degree: its degree is the count, and equal-degree
 splitting of it lists the roots (small p are brute-forced instead).
 kronecker is imported from primality, whose Lucas test needs it too.
 
-_root_table solves degrees 1 and 2 for a whole array of primes at once, in
-int64 numpy lanes with the same square root (_cipolla), and hands every
-other (f, p) to the same scalar path.  _root_counts is the count-only form
-of the lanes, for the Euler product: 1 for degree 1 and 1 + (D|p) for
-degree 2, by the Euler criterion step (_lane_split) that _root_table also
-runs before its square roots.
+_root_table and _root_counts, the root lists and counts for a whole array
+of primes, solve every prime 3 < p < 2^31 that does not divide the leading
+coefficient in int64 numpy lanes and hand the rest to the scalar path.
+Degree 1 and 2 lanes use the formulas above, with Euler's criterion
+(_lane_split) for the count and the same square root (_cipolla) for the
+roots.  Degree >= 3 lanes get g_1 from _lane_g1, x^p mod f by
+square-and-multiply and then a lane gcd: its degree is omega, a g_1 of
+degree 1 or 2 is solved by the lane formulas, and only a g_1 of degree >= 3
+goes to the scalar split.  Measured on a 2-core Xeon, CPython 3.11, numpy
+2.4: the naive constant of n^3+2 at 3e5 takes 0.18 s, about 7 us a prime,
+against 2.4 s on the scalar path; the root table of n^3+2 at B = 10^5
+takes 0.84 s (1.19 s scalar), most of it the scalar splits of the 1,559
+primes with three roots.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from .primality import kronecker
 _BRUTE_FORCE_LIMIT = 4096
 _LANES = 1 << 13  # primes per batch of _root_table and the Euler product
 _LANE_LIMIT = 1 << 31  # p below it keeps every lane product below 2^62
+_G1_LANES = 1 << 11  # primes per sub-batch of _lane_g1
 _CANDIDATES = 4  # values of t per lane and round in _cipolla's search
 
 
@@ -112,25 +120,26 @@ def _root_count(f: Polynomial, p: int) -> int:
 def _root_counts(f: Polynomial, p: np.ndarray) -> np.ndarray:
     """_root_count of f at each prime of the int64 array p.
 
-    For degree 1 and 2 the lanes 3 < p < 2^31 where p divides neither the
-    leading coefficient a nor, for degree 2, the discriminant D are counted
-    at once: 1 for degree 1, 1 + (D|p) by _lane_split for degree 2.  Every
-    other prime, and every prime of a higher degree, goes through
-    _root_count.
+    The lanes 3 < p < 2^31 where p divides neither the leading coefficient
+    a nor, for degree 2, the discriminant D are counted at once: 1 for
+    degree 1, 1 + (D|p) by _lane_split for degree 2 and deg g_1 by _lane_g1
+    for degree >= 3.  Every other prime goes through _root_count.
     """
     omega = np.empty_like(p)
-    scalar = (p <= 3) | (p >= _LANE_LIMIT) | (f.degree > 2)
+    scalar = (p <= 3) | (p >= _LANE_LIMIT)
     lanes = np.flatnonzero(~scalar)
     if lanes.size:
         q = p[lanes]
         red = [c % q for c in f.coeffs]
+        rest = red[-1] == 0
+        count = np.zeros_like(q)
         if f.degree == 1:
-            rest = red[1] == 0
-            count = np.ones_like(q)
-        else:
+            count[:] = 1
+        elif f.degree == 2:
             rest, split_lanes, _, split = _lane_split(red, q)
-            count = np.zeros_like(q)
             count[split_lanes] = 2 * split
+        else:
+            _, count[~rest] = _lane_g1(f.coeffs, q[~rest])
         omega[lanes] = count
         scalar[lanes[rest]] = True
     omega[scalar] = [_root_count(f, v) for v in p[scalar].tolist()]
@@ -224,8 +233,8 @@ def _root_table(polys: Sequence[Polynomial], prime_arrays: Iterable[np.ndarray]
     array of primes given, each sorted by p and then r, without repeats.
 
     The arrays are int32 while every p is below 2^31, int64 beyond.  Lanes
-    of degree 1 and 2 are solved in batches of 2^13 primes; the rest go
-    through _roots_of_reduced, one prime at a time.  Each batch is narrowed
+    are solved in batches of 2^13 primes by _lane_roots; the other primes
+    go through _roots_of_reduced, one at a time.  Each batch is narrowed
     before its segment's one concatenation, so the table never exists twice.
     """
     table = []
@@ -244,7 +253,7 @@ def _batch_roots(polys: Sequence[Polynomial], primes: np.ndarray
     ps, rs = [], []
     scalar_p, scalar_r = [], []
     for f in polys:
-        scalar = (p <= 3) | (p >= _LANE_LIMIT) | (f.degree > 2)
+        scalar = (p <= 3) | (p >= _LANE_LIMIT)
         lanes = np.flatnonzero(~scalar)
         if lanes.size:
             q, r, rest = _lane_roots(f.coeffs, p[lanes])
@@ -267,15 +276,19 @@ def _batch_roots(polys: Sequence[Polynomial], primes: np.ndarray
     return p.astype(np.int32), r.astype(np.int32)
 
 
-def _lane_roots(coeffs: tuple[int, ...], p: np.ndarray
+def _lane_roots(coeffs: Sequence, p: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Roots of a polynomial of degree 1 or 2 modulo each prime 3 < p < 2^31.
+    """Roots of a polynomial modulo each prime 3 < p < 2^31.
 
-    Returns (q, r), one entry per root found, and the mask of the lanes of p
-    left to the scalar path: p divides the leading coefficient or, for
-    degree 2, the discriminant D.  Every root is checked to satisfy
-    f(r) = 0 (mod q), and every square root s of D to satisfy s^2 = D, so
-    an arithmetic fault raises instead of passing silently.
+    coeffs are ints, or int64 arrays with one value per lane.  Returns
+    (q, r), one entry per root found, and the mask of the lanes of p left
+    to the scalar path: p divides the leading coefficient or, for degree 2,
+    the discriminant D.  Degree >= 3 takes g_1 = gcd(x^p - x, f) from
+    _lane_g1 and solves it here when it has degree 1 or 2, else by
+    _split_linear_product; each prime must get deg g_1 roots.  Every root is
+    checked to satisfy f(r) = 0 (mod q), and every square root s of D to
+    satisfy s^2 = D, so an arithmetic fault raises instead of passing
+    silently.
     """
     red = [c % p for c in coeffs]  # int64 coefficients: exact in lanes
     if len(coeffs) == 2:
@@ -284,7 +297,7 @@ def _lane_roots(coeffs: tuple[int, ...], p: np.ndarray
         red = [v[~rest] for v in red]
         b, a = red
         r = (q - b) * _lane_pow(a, q - 2, q) % q
-    else:
+    elif len(coeffs) == 3:
         rest, lanes, disc, split = _lane_split(red, p)
         lanes, disc = lanes[split], disc[split]
         q = p[lanes]
@@ -297,6 +310,28 @@ def _lane_roots(coeffs: tuple[int, ...], p: np.ndarray
                             (2 * q - b - s) % q * inv2a % q])
         q = np.concatenate([q, q])
         red = [np.concatenate([v, v]) for v in (c, b, a)]
+    else:
+        rest = red[-1] == 0
+        lanes = p[~rest]
+        g, deg = _lane_g1(coeffs, lanes)
+        qs, rs = [], []
+        for k in (1, 2):
+            i = np.flatnonzero(deg == k)
+            q, r, _ = _lane_roots(tuple(g[:k + 1, i]), lanes[i])
+            qs.append(q)
+            rs.append(r)
+        split_q, split_r = [], []
+        for i in np.flatnonzero(deg > 2).tolist():
+            v = int(lanes[i])
+            roots = _split_linear_product(g[:deg[i] + 1, i].tolist(), v)
+            split_q.extend([v] * len(roots))
+            split_r.extend(roots)
+        q = np.concatenate([*qs, np.array(split_q, dtype=np.int64)])
+        r = np.concatenate([*rs, np.array(split_r, dtype=np.int64)])
+        found = np.bincount(np.searchsorted(lanes, q), minlength=lanes.size)
+        if np.any(found != deg):
+            raise ArithmeticError("a lane found other than deg g_1 roots")
+        red = [c % q for c in coeffs]
     acc = np.zeros_like(q)
     for c in reversed(red):
         acc = (acc * r + c) % q
@@ -336,6 +371,108 @@ def _lane_pow(base: np.ndarray, exp: np.ndarray, p: np.ndarray) -> np.ndarray:
         if not exp.any():
             return result
         base = base * base % p
+
+
+def _lane_g1(coeffs: Sequence[int], p: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """g_1 = gcd(x^p - x, f) for f of degree d >= 3 modulo each prime
+    3 < p < 2^31 that does not divide its leading coefficient: the first
+    step of _gfpoly.distinct_degree in int64 lanes.
+
+    Returns g_1, monic, as an array of shape (d + 1, lanes) in ascending
+    order, and its degree per lane.  The lanes run _G1_LANES at a time, so
+    every temporary stays small.  x^p mod f must satisfy f(x^p) = 0
+    (mod f), since Frobenius fixes f's coefficients, and g_1 must divide
+    both f and x^p - x mod f; a failed check raises ArithmeticError.
+    """
+    d = len(coeffs) - 1
+    g = np.empty((d + 1, p.size), dtype=np.int64)
+    deg = np.empty_like(p)
+    for k in range(0, p.size, _G1_LANES):
+        q = p[k:k + _G1_LANES]
+        zero = np.zeros_like(q)
+        red = [c % q for c in coeffs]
+        inv = _lane_pow(red[-1], q - 2, q)
+        monic = np.array([c * inv % q for c in red])
+        neg = (q - monic[:d]) % q  # x^d = neg(x) (mod f)
+        h = np.zeros_like(neg)
+        h[0] = 1
+        for bit in reversed(range(int(q.max()).bit_length())):
+            h = _lane_mulmod(h, h, neg, q)
+            odd = (q >> bit) & 1 == 1
+            h = np.where(odd, _lane_reduce(np.vstack([zero, h]), neg, q), h)
+        f_of_h = np.zeros_like(h)
+        f_of_h[0] = 1
+        for c in monic[d - 1::-1]:  # Horner, in GF(p)[x]/(f)
+            f_of_h = _lane_mulmod(f_of_h, h, neg, q)
+            f_of_h[0] = (f_of_h[0] + c) % q
+        if f_of_h.any():
+            raise ArithmeticError("a lane x^p mod f failed f(x^p) = 0 (mod f)")
+        h[1] = (h[1] - 1) % q  # x^p - x (mod f)
+        gk, dk = _lane_gcd(monic, np.vstack([h, zero]), q)
+        for j in range(1, d + 1):
+            i = np.flatnonzero(dk == j)
+            neg_g = (q[i] - gk[:j, i]) % q[i]  # x^j = neg_g(x) (mod g_1)
+            for t in (monic, h):
+                if _lane_reduce(t[:, i], neg_g, q[i]).any():
+                    raise ArithmeticError(
+                        "a lane g_1 does not divide both f and x^p - x")
+        g[:, k:k + _G1_LANES], deg[k:k + _G1_LANES] = gk, dk
+    return g, deg
+
+
+def _lane_mulmod(a: np.ndarray, b: np.ndarray, neg: np.ndarray,
+                 p: np.ndarray) -> np.ndarray:
+    """a * b mod (x^d - neg(x), p) for lane polynomials a, b of shape
+    (d, lanes), d = len(neg), with reduced entries."""
+    d = len(neg)
+    out = np.zeros((2 * d - 1, p.size), dtype=np.int64)
+    for i in range(d):
+        out[i:i + d] += a[i] * b % p  # each sum below 2d p
+    return _lane_reduce(out, neg, p)
+
+
+def _lane_reduce(c: np.ndarray, neg: np.ndarray, p: np.ndarray
+                 ) -> np.ndarray:
+    """c mod (x^j - neg(x), p), j = len(neg), for c of shape (m, lanes),
+    m >= j, with small nonnegative entries: reduced, shape (j, lanes).
+    Overwrites c."""
+    j = len(neg)
+    for k in range(len(c) - 1, j - 1, -1):
+        c[k - j:k] += c[k] % p * neg % p
+    return c[:j] % p
+
+
+def _lane_gcd(a: np.ndarray, b: np.ndarray, p: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """gcd(a, b) for lane polynomials of shape (n, lanes) with reduced
+    entries, deg a > deg b: monic, and its degree per lane.
+
+    Each step replaces a by lc(b) a - lc(a) x^(deg a - deg b) b, which drops
+    deg a, and swaps the pair when deg a falls below deg b; a lane is done
+    when b is 0.  No inverse is taken until the final normalisation.
+    """
+    rows, cols = np.arange(len(a))[:, None], np.arange(p.size)
+    da, db = _lane_degree(a), _lane_degree(b)
+    while (live := db >= 0).any():
+        shift = rows - np.where(live, da - db, 0)
+        lb = np.where(live, b[db, cols], 1)
+        la = np.where(live, a[da, cols], 0)
+        b_up = np.where(shift >= 0, np.take_along_axis(
+            b, np.maximum(shift, 0), axis=0), 0)
+        a = (lb * a % p - la * b_up % p) % p
+        da = _lane_degree(a)
+        swap = da < db
+        a, b = np.where(swap, b, a), np.where(swap, a, b)
+        da, db = np.where(swap, db, da), np.where(swap, da, db)
+    return a * _lane_pow(a[da, cols], p - 2, p) % p, da
+
+
+def _lane_degree(a: np.ndarray) -> np.ndarray:
+    """Degree per lane of lane polynomials of shape (n, lanes); -1 for 0."""
+    nonzero = a != 0
+    return np.where(nonzero.any(axis=0),
+                    len(a) - 1 - nonzero[::-1].argmax(axis=0), -1)
 
 
 def _lane_sqrt(a: np.ndarray, p: np.ndarray) -> np.ndarray:

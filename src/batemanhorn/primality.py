@@ -151,6 +151,38 @@ def kronecker(a: int, m: int) -> int:
     return result if m == 1 else 0
 
 
+def _lane_kronecker(a: int, m: np.ndarray) -> np.ndarray:
+    """kronecker(a, m) at each m > 0 of an int64 array, by the same steps
+    in numpy lanes; a must fit in int64.  A lane leaves the loop when its
+    remainder reaches 0."""
+    result = np.ones_like(m)
+    tz = _trailing_zeros(m)
+    if a % 2 == 0:
+        result[tz > 0] = 0
+    elif a % 8 in (3, 5):
+        result[tz & 1 == 1] = -1
+    m = m >> tz
+    x = a % m
+    todo = np.arange(m.size)
+    while todo.size:
+        done = x == 0
+        result[todo[done]] *= m[done] == 1
+        todo, x, m = todo[~done], x[~done], m[~done]
+        tz = _trailing_zeros(x)
+        x = x >> tz
+        flip = (tz & 1 == 1) & ((m & 7 == 3) | (m & 7 == 5))
+        x, m = m, x
+        flip ^= (x & m & 3) == 3  # both are 3 (mod 4)
+        result[todo[flip]] *= -1
+        x = x % m
+    return result
+
+
+def _trailing_zeros(v: np.ndarray) -> np.ndarray:
+    """The exponent of 2 in each v > 0 of an int64 array (-1 at v = 0)."""
+    return np.frexp(v & -v)[1] - 1  # a power of 2 is exact in float64
+
+
 def _selfridge_d(n: int) -> int | None:
     """First D in 5, -7, 9, -11, ... with (D|n) = -1; None marks composite."""
     d = 5

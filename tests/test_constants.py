@@ -102,6 +102,18 @@ def test_l_value_input_validation():
             l_value_negative_fundamental(d)
 
 
+def test_l_value_equals_the_scalar_character_sum():
+    # numpy blocks of the character sum against scalar kronecker calls,
+    # bit for bit: every negative fundamental D down to -1500, and -140003,
+    # whose sum spans three blocks
+    from batemanhorn.primality import kronecker
+    for d in [d for d in range(-3, -1500, -1)
+              if is_fundamental_discriminant(d)] + [-140003]:
+        total = sum(kronecker(d, a) * a for a in range(1, -d))
+        assert l_value_negative_fundamental(d) == \
+            -math.pi * total / (-d)**1.5, d
+
+
 def test_fundamental_discriminant_classifier():
     fundamental = {-3, -4, -7, -8, -11, -15, -19, -20, -23, -24, -31, -35,
                    -39, -40}
@@ -220,7 +232,7 @@ def per_prime_euler_product(system, truncation, d):
 
 
 # (system, d): d is None for the direct product.  {n, n+2, n+6} and n^3+2
-# have products of degree 3, so every root count is scalar; D = -171 of
+# have products of degree 3, whose root counts are deg g_1; D = -171 of
 # 5n^2+7n+11 is not fundamental, and 2, 3, 5, 19 divide 2aD; the
 # exceptional prime 101 of 101n^2+1 lies beyond every truncation below it.
 BATCHED_SYSTEMS = [
@@ -241,8 +253,8 @@ BATCHED_SYSTEMS = [
                               for t, d in BATCHED_SYSTEMS])
 def test_batched_product_equals_per_prime_loop(monkeypatch, texts, d):
     # the last truncation spans two batches of 2^13 primes and then 19 of
-    # 512 (two for a product of degree 3, whose scalar root counts cost
-    # more), with the tenth inside a batch either way
+    # 512 (two for a product of degree 3, whose scalar oracle costs more),
+    # with the tenth inside a batch either way
     from batemanhorn import modular
     from batemanhorn.constants import _euler_product
     s = system(*texts)

@@ -108,6 +108,19 @@ GOLDEN = [
       "--poly", "n+6", "--format", "csv"),
      "value,mode,truncation,error_estimate,l_value\n"
      "2.858332775804147,naive,10000,0.0010064748169344995,\n"),
+    # the constants workload's cubic: every omega(p) at 3 < p, which
+    # divides no leading coefficient, is deg g_1 from numpy lanes;
+    # --accelerate comes first to give the case its own test id
+    (("constant", "--accelerate", "naive", "--poly", "n^3+2",
+      "--truncate", "3e5", "--format", "csv"),
+     "value,mode,truncation,error_estimate,l_value\n"
+     "1.298428317171479,naive,300000,0.0011229455154080359,\n"),
+    # a linear and a quadratic whose product has degree 3; --format comes
+    # first to give the case its own test id
+    (("constant", "--format", "csv", "--poly", "n", "--poly", "n^2+n+1",
+      "--truncate", "1e5", "--accelerate", "naive"),
+     "value,mode,truncation,error_estimate,l_value\n"
+     "1.5212223341117423,naive,100000,0.001994754376836827,\n"),
     (("reproduce", "1", "--cap", "1e5", "--workers", "1"),
      "reproducing table 1: system {n, 2*n + 1}, constant 1.320323721 "
      "(naive)\n"

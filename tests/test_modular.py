@@ -20,7 +20,7 @@ from batemanhorn import (
 from batemanhorn import modular
 from batemanhorn.modular import _root_count, _root_count_gcd, _root_table
 from batemanhorn.poly import _inadmissibility_witness
-from batemanhorn.primality import _prime_segments
+from batemanhorn.primality import _lane_kronecker, _prime_segments
 
 PRIMES_TO_997 = [int(p) for p in np.flatnonzero(simple_sieve(997))]
 
@@ -91,6 +91,17 @@ def test_kronecker_zero_cases():
     assert kronecker(5, 0) == 0
     assert kronecker(1, 0) == 1
     assert kronecker(-1, 0) == 1
+
+
+@pytest.mark.parametrize("a", [
+    -3, -4, -7, -8, -20, -24, -1000003, 0, 1, -1, 2, 5, 6, 12, 17,
+    2**63 - 1, -(2**63 - 1), -(2**62),
+])
+def test_lane_kronecker_matches_kronecker(a):
+    m = np.concatenate([np.arange(1, 3000), [2**31 - 1, 2**40, 2**62 + 1,
+                                             2**63 - 1]]).astype(np.int64)
+    assert _lane_kronecker(a, m).tolist() == \
+        [kronecker(a, v) for v in m.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +304,8 @@ def test_sqrt_mod_equals_lane_sqrt():
     ("n^2+n+41", "2*n+1"),
     ("720720*n^2+1",),  # a leading coefficient with many divisors
     ("9223372036854775807*n^2-9223372036854775806*n+9223372036854775805",),
-    ("n^3+2",),  # every lane on the scalar path
+    ("n^3+2",),  # g_1 in lanes; 1,559 lanes split it by the scalar path
+    ("30*n^3+7",),  # p | 30 is scalar; a triple root mod 7 in lanes
 ])
 def test_root_table_matches_list_roots_below_1e5(texts):
     polys = [parse_polynomial(t) for t in texts]
@@ -302,6 +314,36 @@ def test_root_table_matches_list_roots_below_1e5(texts):
     expected = [(q, root) for q in primes_up_to(10**5) for root in
                 sorted({x for f in polys for x in list_roots(f, q).roots})]
     assert list(zip(p.tolist(), r.tolist())) == expected
+
+
+@pytest.mark.parametrize("text", [
+    "n^3+n+1",  # D = -31: a double root mod 31
+    "n^3+8*n^2+12*n",  # n (n+2) (n+6): three roots at every p > 5
+    "n^7-n+7",  # every residue is a root mod 7, with g_1 = f
+    "n^6+n^5+n^4+n^3+n^2+n+1",  # 6 roots at p = 1 (mod 7), 6-fold at 7
+    "9223372036854775807*n^8-9223372036854775807*n+9223372036854775806",
+])
+def test_root_table_matches_list_roots_degree_3_to_8(text):
+    # below 10^4, where list_roots, the oracle, stays cheap at degree 8
+    f = parse_polynomial(text)
+    [(p, r)] = _root_table([f], _prime_segments(10**4))
+    assert list(zip(p.tolist(), r.tolist())) == \
+        [(q, root) for q in primes_up_to(10**4) for root in
+         list_roots(f, q).roots]
+
+
+@pytest.mark.parametrize("text", [
+    "n^3+2", "n^7-n+7", "n^6+n^5+n^4+n^3+n^2+n+1",
+    "9223372036854775807*n^8-9223372036854775807*n+9223372036854775806",
+])
+def test_root_table_at_the_lane_limit(text):
+    # the last primes below 2^31, where lane products come closest to 2^63
+    f = parse_polynomial(text)
+    q = [2147483587, 2147483629, 2147483647]
+    [(p, r)] = _root_table([f], [np.array(q, dtype=np.int32)])
+    assert p.dtype == r.dtype == np.int32
+    assert list(zip(p.tolist(), r.tolist())) == \
+        [(v, root) for v in q for root in list_roots(f, v).roots]
 
 
 def test_root_table_prime_above_2_31():
@@ -327,7 +369,13 @@ def test_root_table_prime_above_2_31():
     "n^2+2*n+1",  # D = 0: every prime on the scalar path
     "7*n^2+14",  # vanishes identically mod 7
     "720720*n^2+1",
-    "n^3+8*n^2+12*n", "n^3+2",  # degree 3: every prime scalar
+    "n^3+8*n^2+12*n", "n^3+2",  # degree >= 3: deg g_1 in lanes
+    "30*n^3+7",  # 2, 3 and 5 divide the leading coefficient: scalar
+    "n^3+n+1",  # D = -31: a double root mod 31
+    "n^7-n+7",  # omega(7) = 7, with g_1 = f
+    "n^6+n^5+n^4+n^3+n^2+n+1",  # 6 roots at p = 1 (mod 7), 6-fold at 7
+    "n^4+1", "3*n^3+5*n+7", "n^5-n+1",
+    "9223372036854775807*n^8-9223372036854775807*n+9223372036854775806",
 ])
 def test_root_counts_match_root_count(text):
     f = parse_polynomial(text)
@@ -346,3 +394,39 @@ def test_root_counts_raise_when_euler_criterion_fails(monkeypatch):
     with pytest.raises(ArithmeticError):
         modular._root_counts(parse_polynomial("n^2+1"),
                              np.array([5, 7, 11], dtype=np.int64))
+
+
+def _corrupt(name, wrap):
+    """Replace modular.<name> by wrap applied to the original."""
+    original = getattr(modular, name)
+    return name, lambda *args: wrap(original(*args), *args)
+
+
+@pytest.mark.parametrize("name,fault", [
+    # x^p mod f off by one: caught by f(x^p) = 0 (mod f)
+    _corrupt("_lane_mulmod", lambda out, a, b, neg, p: (out + 1) % p),
+    # g_1 with its constant term moved: it no longer divides f
+    _corrupt("_lane_gcd", lambda out, a, b, p: (
+        np.vstack([(out[0][:1] + 1) % p, out[0][1:]]), out[1])),
+], ids=["x^p", "gcd"])
+def test_lane_g1_raises_when_a_lane_is_corrupted(monkeypatch, name, fault):
+    monkeypatch.setattr(modular, name, fault)
+    f = parse_polynomial("n^3+2")
+    p = np.array(PRIMES_TO_997[2:], dtype=np.int64)
+    with pytest.raises(ArithmeticError):
+        modular._root_counts(f, p)
+    with pytest.raises(ArithmeticError):
+        _root_table([f], [p])
+
+
+@pytest.mark.parametrize("fault", [
+    lambda roots, p: roots[1:],  # one root short of deg g_1
+    lambda roots, p: [(r + 1) % p for r in roots],  # f(r) != 0 (mod p)
+], ids=["count", "f(r)"])
+def test_root_table_raises_when_a_split_is_corrupted(monkeypatch, fault):
+    split = modular._split_linear_product
+    monkeypatch.setattr(modular, "_split_linear_product",
+                        lambda g, p: fault(split(g, p), p))
+    with pytest.raises(ArithmeticError):
+        _root_table([parse_polynomial("n^3+2")], [np.array(
+            PRIMES_TO_997[2:], dtype=np.int64)])
