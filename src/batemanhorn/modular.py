@@ -13,16 +13,16 @@ kronecker is imported from primality, whose Lucas test needs it too.
 _root_table and _root_counts, the root lists and counts for a whole array
 of primes, solve every prime 3 < p < 2^31 that does not divide the leading
 coefficient in int64 numpy lanes and hand the rest to the scalar path.
-Degree 1 and 2 lanes use the formulas above, with Euler's criterion
-(_lane_split) for the count and the same square root (_cipolla) for the
-roots.  Degree >= 3 lanes get g_1 from _lane_g1, x^p mod f by
-square-and-multiply and then a lane gcd: its degree is omega, a g_1 of
-degree 1 or 2 is solved by the lane formulas, and only a g_1 of degree >= 3
-goes to the scalar split.  Measured on a 2-core Xeon, CPython 3.11, numpy
-2.4: the naive constant of n^3+2 at 3e5 takes 0.18 s, about 7 us a prime,
-against 2.4 s on the scalar path; the root table of n^3+2 at B = 10^5
-takes 0.84 s (1.19 s scalar), most of it the scalar splits of the 1,559
-primes with three roots.
+Degree 1 and 2 lanes use the formulas above, with (D|p) by binary
+reciprocity (primality._lane_kronecker) for the count and the same square
+root (_cipolla) for the roots.  Degree >= 3 lanes get g_1 from _lane_g1,
+x^p mod f by square-and-multiply and a lane gcd: its degree is omega, a g_1
+of degree 1 or 2 is solved by the lane formulas, and only a g_1 of degree
+>= 3 goes to the scalar split.  On a 2-core Xeon, CPython 3.11, numpy 2.4:
+the naive constant of n^2-2 at 10^7 takes 0.15 s (0.37 s by Euler's
+criterion), and of n^3+2 at 3e5 0.15 s (2.4 s scalar); the root table of
+n^3+2 at B = 10^5 takes 0.84 s (1.19 s scalar), most of it the scalar
+splits of the 1,559 primes with three roots.
 """
 
 from __future__ import annotations
@@ -209,18 +209,19 @@ def _split_linear_product(g: list[int], p: int) -> list[int]:
     d = _gfpoly.degree(g)
     if d <= 2:
         return _roots_of_reduced(g, p)
-    shift = 1
-    while True:
+    for shift in range(1, p):  # about half of them split a valid g
+        if shift == 8 and _gfpoly.pow_mod([0, 1], p, g, p) != [0, 1]:
+            break  # g does not divide x^p - x
         # gcd with (x+shift)^((p-1)/2) - 1 separates the roots r for which
         # r+shift is a quadratic residue; deterministic shifts keep the
         # output reproducible.
-        h = _gfpoly.pow_mod([shift % p, 1], (p - 1) // 2, g, p)
+        h = _gfpoly.pow_mod([shift, 1], (p - 1) // 2, g, p)
         part = _gfpoly.gcd(_gfpoly.sub(h, [1], p), g, p)
         if 0 < _gfpoly.degree(part) < d:
             rest = _gfpoly.quo(g, part, p)
             return _split_linear_product(part, p) + \
                 _split_linear_product(rest, p)
-        shift += 1
+    raise ArithmeticError(f"no shift below {p} splits {g} into linears")
 
 
 # ---------------------------------------------------------------------------
@@ -343,22 +344,22 @@ def _lane_roots(coeffs: Sequence, p: np.ndarray
 def _lane_split(red: list[np.ndarray], p: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Whether a quadratic with coefficients red = (c, b, a) mod each prime
-    3 < p < 2^31 splits, by Euler's criterion on its discriminant D.
+    3 < p < 2^31 splits, by the Legendre symbol (D|p) of its discriminant.
 
     Returns the mask of the lanes left to the scalar path (p divides a or
     D), the indices of the other lanes, D at those lanes and the mask of
-    those where D is a square.  Raises if the criterion gives neither 1 nor
-    -1, so an arithmetic fault cannot pass silently.
+    those where D is a square.  Raises if a symbol is 0, which p not
+    dividing D rules out, so an arithmetic fault cannot pass silently.
     """
     c, b, a = red
     disc = (b * b - 4 * a % p * c) % p  # every product below 2^62
     rest = (a == 0) | (disc == 0)
     lanes = np.flatnonzero(~rest)
     q, disc = p[lanes], disc[lanes]
-    euler = _lane_pow(disc, (q - 1) // 2, q)
-    if np.any((euler != 1) & (euler != q - 1)):
-        raise ArithmeticError("Euler's criterion gave neither 1 nor -1")
-    return rest, lanes, disc, euler == 1
+    sym = primality._lane_kronecker(disc, q)
+    if np.any(sym == 0):
+        raise ArithmeticError("a lane Legendre symbol of D was 0")
+    return rest, lanes, disc, sym == 1
 
 
 def _lane_pow(base: np.ndarray, exp: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -489,8 +490,8 @@ def _cipolla(a: np.ndarray, p: np.ndarray) -> np.ndarray:
     the lane form of sqrt_mod's, with the same t and so the same root.
 
     Each round tests the next _CANDIDATES values of t on every lane still
-    searching, in one stacked _lane_pow; a lane keeps its first hit.  Half
-    of all t qualify, so a round leaves about 1/16 of the lanes searching.
+    searching, in one flattened _lane_kronecker; a lane keeps its first -1.
+    Half of all t qualify, so a round leaves about 1/16 of the lanes.
     """
     t = np.zeros_like(p)
     todo = np.arange(p.size)
@@ -499,7 +500,8 @@ def _cipolla(a: np.ndarray, p: np.ndarray) -> np.ndarray:
         cand = np.arange(first, first + _CANDIDATES, dtype=p.dtype)[:, None]
         q = p[todo]
         w = (cand * cand - a[todo]) % q  # one row per candidate t
-        hit = _lane_pow(w, (q - 1) // 2, q) == q - 1
+        hit = primality._lane_kronecker(
+            w.ravel(), np.tile(q, _CANDIDATES)).reshape(w.shape) == -1
         found = hit.any(axis=0)
         t[todo[found]] = cand[hit.argmax(axis=0)[found], 0]
         todo = todo[~found]

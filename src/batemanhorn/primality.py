@@ -151,16 +151,15 @@ def kronecker(a: int, m: int) -> int:
     return result if m == 1 else 0
 
 
-def _lane_kronecker(a: int, m: np.ndarray) -> np.ndarray:
-    """kronecker(a, m) at each m > 0 of an int64 array, by the same steps
-    in numpy lanes; a must fit in int64.  A lane leaves the loop when its
-    remainder reaches 0."""
+def _lane_kronecker(a: int | np.ndarray, m: np.ndarray) -> np.ndarray:
+    """kronecker(a, m) at each m > 0 of an int64 array, by the same binary
+    reciprocity steps (Cohen, Alg. 1.4.10) in numpy lanes; a is an int
+    that fits in int64 or an int64 array, one value per lane.  A lane
+    leaves the loop when its remainder reaches 0."""
     result = np.ones_like(m)
     tz = _trailing_zeros(m)
-    if a % 2 == 0:
-        result[tz > 0] = 0
-    elif a % 8 in (3, 5):
-        result[tz & 1 == 1] = -1
+    result[(tz > 0) & (a % 2 == 0)] = 0
+    result[(tz & 1 == 1) & ((a % 8 == 3) | (a % 8 == 5))] = -1
     m = m >> tz
     x = a % m
     todo = np.arange(m.size)

@@ -266,6 +266,21 @@ def test_batched_product_equals_per_prime_loop(monkeypatch, texts, d):
     assert _euler_product(s, last, d) == per_prime_euler_product(s, last, d)
 
 
+@pytest.mark.parametrize("texts,d", [(("n", "2*n+1"), None),
+                                     (("6*n^2+1",), -24)],
+                         ids=["n 2*n+1", "6*n^2+1 accel"])
+def test_batched_product_across_prime_segment_edges(monkeypatch, texts, d):
+    # segments of 4096 integers hold 350-570 primes, so batches of 512 end
+    # at segment edges as well as inside segments
+    from batemanhorn import modular, primality
+    from batemanhorn.constants import _euler_product
+    monkeypatch.setattr(primality, "_SEGMENT", 4096)
+    monkeypatch.setattr(modular, "_LANES", 512)
+    s = system(*texts)
+    assert _euler_product(s, 100_003, d) == \
+        per_prime_euler_product(s, 100_003, d)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_factors_equal_int_over_int(m):
     # the lane form against int / int, on both sides of each p^k = 2^53

@@ -17,7 +17,7 @@ from batemanhorn import (
     simple_sieve,
     sqrt_mod,
 )
-from batemanhorn import modular
+from batemanhorn import modular, primality
 from batemanhorn.modular import _root_count, _root_count_gcd, _root_table
 from batemanhorn.poly import _inadmissibility_witness
 from batemanhorn.primality import _lane_kronecker, _prime_segments
@@ -102,6 +102,20 @@ def test_lane_kronecker_matches_kronecker(a):
                                              2**63 - 1]]).astype(np.int64)
     assert _lane_kronecker(a, m).tolist() == \
         [kronecker(a, v) for v in m.tolist()]
+
+
+def test_lane_kronecker_with_an_array_a_matches_kronecker():
+    # one a per lane: negative, even and odd a, a >= m, and even and odd m
+    # up to 2^63 - 1, paired every way
+    rng = random.Random(16)
+    big = [2**31 - 1, 2**40, 2**62, 2**62 + 1, 3 * 2**61, 2**63 - 1]
+    ms = list(range(1, 200)) + big + [rng.randrange(1, 2**63)
+                                      for _ in range(50)]
+    avals = list(range(-60, 60)) + [v for b in big for v in (b, -b, b - 1)] + \
+        [rng.randrange(-2**63 + 1, 2**63) for _ in range(50)]
+    pairs = [(a, v) for a in avals for v in ms]
+    a, m = (np.array(col, dtype=np.int64) for col in zip(*pairs))
+    assert _lane_kronecker(a, m).tolist() == [kronecker(*ab) for ab in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +217,22 @@ def test_list_roots_large_prime_splitting(p):
     assert rs.omega == 1 + kronecker(-24, p)
     for r in rs.roots:
         assert (6 * r * r + 1) % p == 0
+
+
+@pytest.mark.parametrize("g,p", [
+    ([2, 0, 0, 1], 7),  # x^3 + 2, irreducible: every shift below p fails
+    ([2, 0, 0, 1], 1_000_003),  # 2 is no cube: the check after 8 shifts
+], ids=["cap", "check"])
+def test_split_linear_product_raises_without_linear_factors(
+        monkeypatch, g, p):
+    powers = []
+    pow_mod = modular._gfpoly.pow_mod
+    monkeypatch.setattr(modular._gfpoly, "pow_mod",
+                        lambda *args: powers.append(args) or pow_mod(*args))
+    with pytest.raises(ArithmeticError):
+        modular._split_linear_product(g, p)
+    # shifts stop below p, or at the check after 7 of them
+    assert len(powers) <= min(p - 1, 8)
 
 
 def test_list_roots_trivial_example():
@@ -388,12 +418,23 @@ def test_root_counts_match_root_count(text):
     assert omega.tolist() == [_root_count(f, q) for q in p.tolist()]
 
 
-def test_root_counts_raise_when_euler_criterion_fails(monkeypatch):
-    monkeypatch.setattr(modular, "_lane_pow",
-                        lambda base, exp, p: np.full_like(p, 2))
-    with pytest.raises(ArithmeticError):
+def test_root_counts_raise_when_legendre_symbol_fails(monkeypatch):
+    # p does not divide D in these lanes, so a symbol 0 is a fault
+    monkeypatch.setattr(primality, "_lane_kronecker",
+                        lambda a, m: np.zeros_like(m))
+    with pytest.raises(ArithmeticError, match="Legendre"):
         modular._root_counts(parse_polynomial("n^2+1"),
                              np.array([5, 7, 11], dtype=np.int64))
+
+
+def test_root_table_raises_when_legendre_symbol_is_flipped(monkeypatch):
+    # every nonresidue lane now claims two roots: caught by s^2 = D
+    symbol = primality._lane_kronecker
+    monkeypatch.setattr(primality, "_lane_kronecker",
+                        lambda a, m: -symbol(a, m))
+    with pytest.raises(ArithmeticError, match="square root"):
+        _root_table([parse_polynomial("n^2+1")], [np.array(
+            PRIMES_TO_997[2:], dtype=np.int64)])
 
 
 def _corrupt(name, wrap):
