@@ -21,7 +21,7 @@ of degree 1 or 2 is solved by the lane formulas, and only a g_1 of degree
 >= 3 goes to the scalar split.  On a 2-core Xeon, CPython 3.11, numpy 2.4:
 the naive constant of n^2-2 at 10^7 takes 0.15 s (0.37 s by Euler's
 criterion), and of n^3+2 at 3e5 0.15 s (2.4 s scalar); the root table of
-n^3+2 at B = 10^5 takes 0.84 s (1.19 s scalar), most of it the scalar
+n^3+2 at B = 10^5 takes 0.45 s (1.19 s scalar), most of it the scalar
 splits of the 1,559 primes with three roots.
 """
 

@@ -25,7 +25,7 @@ from batemanhorn import (
     primes_up_to,
     threshold_cutoff,
 )
-from batemanhorn import counting, primality
+from batemanhorn import counting, modular, primality
 
 CORPUS = (("n", "2*n+1"), ("6*n^2+1",), ("n", "n+2"), ("n^2+1",),
           ("2*n^2+3",))
@@ -358,6 +358,157 @@ def test_automatic_presieve_bound(monkeypatch, texts, x, bound):
     with pytest.raises(_TableBuilt) as built:
         count_series(system(*texts), [x], SERIAL)
     assert built.value.args == (bound,)
+
+
+# ---------------------------------------------------------------------------
+# survivor triage at the int64 limit
+# ---------------------------------------------------------------------------
+
+def kernel_state(s, bound):
+    """The state count_series hands the segment kernel for the bound B."""
+    table = []
+    if bound >= 2:
+        table = modular._root_table(s.polys, primality._prime_segments(bound))
+    return (tuple(f.coeffs for f in s.polys), table, bound,
+            max(0, threshold_cutoff(s, bound)))
+
+
+def brute_force_chunk(s, lo, hi):
+    """Oracle: classify every value of every n in [lo, hi], no sieve.  The
+    qualified n and the first of them that a probable verdict admitted."""
+    qualified, probable = [], None
+    for n in range(lo, hi + 1):
+        verdicts = []
+        for f in s.polys:
+            v = evaluate(f, n)
+            verdict = primality.classify(v) if v >= 2 else None
+            if verdict is None or not verdict.prime:
+                break
+            verdicts.append(verdict)
+        else:
+            qualified.append(n)
+            if probable is None and any(v.certainty == PROBABLE
+                                        for v in verdicts):
+                probable = n
+    return qualified, probable
+
+
+def kernel_chunk(state, lo, hi):
+    qualified, probable = counting._process_chunk_state(state, (lo, hi))
+    return list(qualified), probable
+
+
+# (texts, last n with sum_i |c_i| n^i < 2^63 for every f_i, window width).
+# Windows end at that n, straddle it, and start just past it.
+INT64_EDGES = [
+    # (2^21 - 1)^3 + 2 < 2^63 <= (2^21)^3 + 2
+    (("n^3+2",), 2**21 - 1, 4096),
+    # 2^50 * 90^2 + 1 < 2^63 < 2^50 * 91^2; the values pass 2^64 at n = 128,
+    # so the window past the limit has probable primes
+    (("2^50*n^2+1",), 90, 60),
+    # the constant alone moves the limit from 3037000499 to 2^31 - 1
+    (("n^2+4611686018427387905",), 2**31 - 1, 1024),
+    # 3037000499^2 + 2 < 2^63 <= 3037000500^2 + 2
+    (("n", "n^2-2"), 3037000499, 4096),
+]
+
+
+@pytest.mark.parametrize("texts,limit,width", INT64_EDGES)
+def test_triage_matches_brute_force_at_the_int64_limit(texts, limit, width):
+    s = system(*texts)
+    state = kernel_state(s, 10**5)
+    assert state[3] < limit - width
+    for lo, hi in ((limit - width + 1, limit),
+                   (limit - width // 2 + 1, limit + width // 2),
+                   (limit + 1, limit + width)):
+        got = kernel_chunk(state, lo, hi)
+        assert got == brute_force_chunk(s, lo, hi), lo
+    if texts == ("2^50*n^2+1",):
+        # sympy.isprime: in 91..150 the values are prime at n = 103 and 123,
+        # below 2^64, and at n = 145, 148 and 150 above it
+        assert got == ([103, 123, 145, 148, 150], 145)
+
+
+@pytest.mark.parametrize("texts,first", [
+    (("n", "n^2-2"), [2, 3, 5]),
+    (("n^2-2",), [2, 3, 5]),
+    (("n-5",), [7, 8, 10]),
+])
+def test_triage_below_two_in_the_direct_range(texts, first):
+    # At n = 1, n is 1 and n^2 - 2 is -1; at n = 5, n - 5 is 0.  With
+    # B = 10^5 these n lie in the direct range, whose B = 0 proves nothing,
+    # so only the values below 2 are decided without a test.
+    s = system(*texts)
+    state = kernel_state(s, 10**5)
+    hi = min(state[3], 4096)
+    got = kernel_chunk(state, 1, hi)
+    assert got == brute_force_chunk(s, 1, hi)
+    assert got[0][:3] == first
+
+
+def test_invariance_across_the_int64_limit():
+    # 2^50 n^2 + 1 leaves int64 past n = 90 and passes 2^64 past n = 127,
+    # so the chunks fall on both paths and the last counts are probable
+    s = system("2^50*n^2+1")
+    cps = [90, 127, 4096]
+    expected = naive_count_series(s, cps)
+    results = set()
+    for segment in (16, 64, 2**20):
+        for workers in (1, 2):
+            cfg = EngineConfig(workers=workers, segment_size=segment,
+                               presieve_bound=10**4)
+            results.add(tuple((r.count, r.certainty)
+                              for r in count_series(s, cps, cfg)))
+    assert results == {tuple(zip(expected, (DETERMINISTIC, DETERMINISTIC,
+                                            PROBABLE)))}
+
+
+def test_triage_matches_brute_force_on_random_systems():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def admissible_systems(draw):
+        """One or two polynomials of degree 1-3 with leads up to 2^40 and
+        lower coefficients up to 2^45 in size, so that both small and wide
+        systems come up; inadmissible or reducible draws are rejected."""
+        polys = []
+        for _ in range(draw(st.integers(1, 2))):
+            degree = draw(st.integers(1, 3))
+            lower = draw(st.lists(st.integers(-2**45, 2**45), min_size=degree,
+                                  max_size=degree))
+            lead = draw(st.integers(1, 2**40))
+            polys.append(Polynomial((*lower, lead)))
+        try:
+            return build_system(polys)
+        except (InadmissibleSystemError, IrreducibilityError,
+                DuplicatePolynomialError, RangeOverflowError):
+            hypothesis.reject()
+
+    def lane_limit(s):
+        """The last n >= 0 with sum_i |c_i| n^i < 2^63 for every f_i."""
+        def inside(n):
+            return all(sum(abs(c) * n**i for i, c in enumerate(f.coeffs))
+                       < 2**63 for f in s.polys)
+        lo, hi = 0, 2**32
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if inside(mid) else (lo, mid - 1)
+        return lo
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(admissible_systems(), st.integers(-300, 300),
+                      st.integers(1, 400), st.integers(0, 2000))
+    def check(s, offset, width, bound):
+        state = kernel_state(s, bound)
+        n_star = state[3]
+        lo = max(1, lane_limit(s) + offset)
+        hi = lo + width - 1
+        if lo <= n_star:  # no chunk straddles n_star
+            hi = min(hi, n_star)
+        assert kernel_chunk(state, lo, hi) == brute_force_chunk(s, lo, hi)
+
+    check()
 
 
 # ---------------------------------------------------------------------------
