@@ -9,12 +9,12 @@ proves it prime; only larger survivors get a real primality test,
 short-circuiting on the first composite.  The direct range [1, n_star] is
 the first chunks of the same chunk list, run with no table and B = 0, so
 every value there is tested.
-Survivors are triaged in int64 lanes wherever Horner is exact there, that
-is when sum_i |c_i| hi^i < 2^63 for every f_i on the segment [lo, hi]: the
-values of 2^12 survivors come from one array evaluation per f_i, those
-with a value below 2 fail, those with every value in [2, (B+1)^2)
-qualify, and only the rest enter the per-survivor test loop.  Past that
-limit every survivor goes through the loop as a Python int.
+Survivors are triaged 2^12 at a time, their values coming from one array
+evaluation per f_i: in int64 lanes where Horner is exact there, that is
+when sum_i |c_i| hi^i < 2^63 for every f_i on the segment [lo, hi], and
+past that limit in object arrays of Python ints.  Those with a value below
+2 fail, those with every value in [2, (B+1)^2) qualify, and only the rest
+are tested, one n at a time.
 B = min(presieve_bound, isqrt(max_i f_i(x)) + 1): a larger bound would mark
 no composite value that a smaller prime misses.
 
@@ -71,7 +71,7 @@ _AUTO_BOUND_LOW_DEGREE = 1 << 25
 _AUTO_BOUND = 100_000
 # Table entries scattered together; bounds the kernel's temporary arrays.
 _SCATTER_BLOCK = 1 << 14
-# Survivors evaluated together as int64 arrays; likewise.  At 2^13 the
+# Survivors evaluated together as arrays; likewise.  At 2^13 the
 # 64 KB temporaries raised the peak RSS of `reproduce 2 --cap 1e6` by 1 MB.
 _TRIAGE_BLOCK = 1 << 12
 
@@ -175,10 +175,10 @@ def _process_chunk_state(state, bounds: tuple[int, int]
 
     state is (coefficients, root table of every prime <= B, B, n_star).  A
     segment with hi <= n_star is not sieved and every value in it is tested.
-    When sum_i |c_i| hi^i < 2^63 for every f_i, the survivors are triaged
-    in int64 lanes (module docstring) and only those with some value >=
-    (B+1)^2 reach _admit, in order, with their values computed.  Past that
-    limit every survivor goes to _admit, evaluated as a Python int.
+    The survivors are triaged in blocks (module docstring), as int64 lanes
+    when sum_i |c_i| hi^i < 2^63 for every f_i and as Python ints
+    otherwise; only those with some value >= (B+1)^2 reach _admit, in
+    order, with their values computed.
     Returns the qualified n, ascending (8 bytes each in an int64 array,
     not a list of ints), and the first of them that a probable verdict
     admitted (None if none did).
@@ -189,38 +189,29 @@ def _process_chunk_state(state, bounds: tuple[int, int]
         table, bound = [], 0
     proved = (bound + 1) ** 2
     alive = np.flatnonzero(_sieve_segment(table, lo, hi - lo + 1))
+    exact = all(_eval_exact([abs(c) for c in coeffs], hi) <= I64_MAX
+                for coeffs in coeffs_list)
     qualified, probable = array("q"), None
-    if all(_eval_exact([abs(c) for c in coeffs], hi) <= I64_MAX
-           for coeffs in coeffs_list):
-        for k in range(0, alive.size, _TRIAGE_BLOCK):
-            n = alive[k:k + _TRIAGE_BLOCK] + lo
-            values = np.array([_eval_exact(coeffs, n)
-                               for coeffs in coeffs_list])
-            keep = (values >= 2).all(axis=0)
-            for j in np.flatnonzero((values >= proved).any(axis=0)).tolist():
-                keep[j], uncertain = _admit(n[j], values[:, j].tolist(),
-                                            proved)
-                if keep[j] and uncertain and probable is None:
-                    probable = int(n[j])
-            qualified.frombytes(n[keep].tobytes())
-        return qualified, probable
-    for k in alive:
-        n = lo + int(k)
-        ok, uncertain = _admit(n, (_eval_exact(coeffs, n)
-                                   for coeffs in coeffs_list), proved)
-        if ok:
-            qualified.append(n)
-            if uncertain and probable is None:
-                probable = n
+    for k in range(0, alive.size, _TRIAGE_BLOCK):
+        n = alive[k:k + _TRIAGE_BLOCK] + lo
+        m = n if exact else n.astype(object)
+        values = np.array([_eval_exact(coeffs, m) for coeffs in coeffs_list])
+        keep = (values >= 2).all(axis=0)
+        for j in np.flatnonzero((values >= proved).any(axis=0)).tolist():
+            keep[j], uncertain = _admit(n[j], values[:, j].tolist(), proved)
+            if keep[j] and uncertain and probable is None:
+                probable = int(n[j])
+        qualified.frombytes(n[keep].tobytes())
     return qualified, probable
 
 
-def _admit(n: int, values: Iterable[int],
+def _admit(n: int, values: list[int],
            proved: int) -> tuple[bool, bool]:
-    """(qualified, uncertain) for the survivor n, whose values come in the
-    system's order: it fails at the first value < 2 or found composite, a
-    value below proved needs no test, and uncertain says whether a
-    probable verdict admitted it."""
+    """(qualified, uncertain) for the survivor n, whose values are listed in
+    the system's order: it fails at the first value < 2 or found composite,
+    a value below proved needs no test, and uncertain says whether a
+    probable verdict admitted it.  A value past the signed 128-bit range
+    raises when the loop reaches it."""
     uncertain = False
     for v in values:
         if v > I128_MAX:

@@ -55,11 +55,12 @@ def _trim(coeffs: Sequence[int]) -> list[int]:
 
 def _eval_exact(coeffs: Sequence[int], n: int | float) -> int | float:
     """Horner evaluation with no range limit (internal use).  The one
-    Horner loop of the package: exact for an integer n; exact elementwise
-    for an int64 numpy array n whose entries have |n| >= 1 and
-    sum_i |c_i| |n|^i < 2^63, because every intermediate is at most that
-    sum in size; for a float n it performs the same IEEE operations as a
-    loop started at 0.0."""
+    Horner loop of the package: exact for an integer n and elementwise
+    for an object array of Python ints; exact elementwise for an int64
+    numpy array n whose entries have |n| >= 1 and sum_i |c_i| |n|^i <
+    2^63, because every intermediate is at most that sum in size; for a
+    float n it performs the same IEEE operations as a loop started at
+    0.0."""
     acc = 0
     for c in reversed(coeffs):
         acc = acc * n + c

@@ -2,6 +2,7 @@ import concurrent.futures
 import math
 import os
 import random
+from array import array
 
 import numpy as np
 import pytest
@@ -446,11 +447,16 @@ def test_triage_below_two_in_the_direct_range(texts, first):
     assert got[0][:3] == first
 
 
-def test_invariance_across_the_int64_limit():
-    # 2^50 n^2 + 1 leaves int64 past n = 90 and passes 2^64 past n = 127,
-    # so the chunks fall on both paths and the last counts are probable
-    s = system("2^50*n^2+1")
-    cps = [90, 127, 4096]
+@pytest.mark.parametrize("texts,cps", [
+    # 2^50 n^2 + 1 leaves int64 past n = 90 and passes 2^64 past n = 127
+    (("2^50*n^2+1",), [90, 127, 4096]),
+    # 2^40 n^2 + 1 leaves int64 past n = 2896 and passes 2^64 past n = 4096
+    (("n", "2^40*n^2+1"), [2896, 2897, 8192]),
+], ids=["2^50*n^2+1", "n,2^40*n^2+1"])
+def test_invariance_across_the_int64_limit(texts, cps):
+    # the chunks fall on both sides of the limit and the last counts are
+    # probable
+    s = system(*texts)
     expected = naive_count_series(s, cps)
     results = set()
     for segment in (16, 64, 2**20):
@@ -461,6 +467,21 @@ def test_invariance_across_the_int64_limit():
                               for r in count_series(s, cps, cfg)))
     assert results == {tuple(zip(expected, (DETERMINISTIC, DETERMINISTIC,
                                             PROBABLE)))}
+
+
+def test_kernel_raises_past_the_128_bit_range():
+    # f = n^3 (n - 2^30)^2 + 1: f(2^30 + 1) = 2^90 + 1 passes count_series'
+    # upfront check at x = 2^30 + 1, yet f(2^23) is about 2^129.  The window
+    # lies in the direct range, so every value reaches _admit.
+    f = (1, 0, 0, 2**60, -2**31, 1)
+    window = (2**23, 2**23 + 15)
+    with pytest.raises(RangeOverflowError, match="n=8388608"):
+        counting._process_chunk_state(((f,), [], 0, 2**30), window)
+    # g = n - (2^23 + 101) is below 2 on the window; placed first, it stops
+    # _admit before f's value is checked
+    g = (-(2**23 + 101), 1)
+    assert counting._process_chunk_state(((g, f), [], 0, 2**30),
+                                         window) == (array("q"), None)
 
 
 def test_triage_matches_brute_force_on_random_systems():
