@@ -15,10 +15,11 @@ primality._prime_segments: the root counts of a batch come from
 modular._root_counts, its factors from _factors, and its running product
 from np.cumprod seeded with the product carried in.  The result is bit for
 bit that of a loop doing prod *= factor one prime at a time, for two
-reasons.  Each factor is the correctly rounded ratio of two exact integers:
-where both are at most 2^53 they are exact in float64 and one IEEE division
-rounds as int / int does, and elsewhere the factor is int / int.  And
-cumprod multiplies in order, one rounding per step, as the loop does.
+reasons.  Each factor is the correctly rounded ratio of two exact integers,
+one expression in lanes: int64 lanes where both are at most 2^53, exact in
+float64, so one IEEE division rounds as int / int does, and elsewhere exact
+Python ints in an object array, where the factor is int / int.  And cumprod
+multiplies in order, one rounding per step, as the loop does.
 
 The error_estimate field is the last-decade drift |value(P) - value(P/10)|,
 an honest heuristic rather than a bound: no rigorous tail estimate exists
@@ -150,16 +151,17 @@ def _euler_product(system: PolySystem, truncation: int,
     if truncation < 2:
         raise ValueError(f"truncation must be >= 2, got {truncation}")
     f, m = system.product, system.m
-    l_value, exceptional, prefactor = None, [], 1.0
+    l_value, inside, prefactor = None, [], 1.0
     if d is not None:
         l_value = l_value_negative_fundamental(d)
-        exceptional = sorted(
-            primality.factorize(2 * f.leading_coefficient * -d))
-        for q in exceptional:
-            prefactor *= _factor(q, modular._root_count(f, q),
-                                 modular.kronecker(d, q), m)
-    inside = np.array([q for q in exceptional if q <= truncation],
-                      dtype=np.int64)
+        p = np.array(sorted(primality.factorize(  # primes of any size
+            2 * f.leading_coefficient * -d)), dtype=object)
+        factor = _factors(p, modular._root_counts(f, p),
+                          primality._lane_kronecker(d, p), m)
+        # in order from 1.0, as prefactor *= factor would, as Python floats
+        prefactor = math.prod(factor.tolist(), start=1.0)
+        inside = p[p <= truncation]
+    inside = np.array(inside, dtype=np.int64)
     tenth = truncation // 10
     prod = 1.0
     at_tenth = None  # a prime lies in (tenth, truncation], so it gets set
@@ -185,36 +187,26 @@ def _euler_product(system: PolySystem, truncation: int,
                               l_value=l_value)
 
 
-def _factor(p: int, omega: int, chi: int, m: int) -> float:
-    """The local factor (1 - omega/p) / ((1 - 1/p)^m (1 - chi/p)) of p.
+def _factors(p: np.ndarray, omega: np.ndarray, chi: np.ndarray,
+             m: int) -> np.ndarray:
+    """The local factor (1 - omega/p) / ((1 - 1/p)^m (1 - chi/p)) at each
+    prime of the int64 or object array p, as float64.
 
     One correctly rounded ratio of exact integers, with p cancelled when
     chi = 0 so that both stay below 2^53 longer; for omega = 1, m = 1,
-    chi = 0 it is exactly 1.0.
-    """
-    q = p if chi else 1
-    return (p - omega) * p**(m - 1) * q / ((p - 1)**m * (q - chi))
-
-
-def _factors(p: np.ndarray, omega: np.ndarray, chi: np.ndarray,
-             m: int) -> np.ndarray:
-    """_factor lane by lane, bit for bit.
-
-    Numerator and denominator are at most p^k, k = m + 1 where chi != 0
-    and k = m where chi = 0.  Where p^k <= 2^53 both are exact in float64,
-    and one IEEE division rounds their ratio correctly, exactly as
-    CPython's int / int does; the other lanes take _factor itself.
+    chi = 0 it is exactly 1.0.  Numerator and denominator are at most p^k,
+    k = m + 1 where chi != 0 and k = m where chi = 0.  Where p^k <= 2^53
+    the lanes are int64: both are exact in float64, and one IEEE division
+    rounds their ratio as CPython's int / int does, which the other lanes
+    take on exact Python ints in an object array.
     """
     out = np.empty(p.size)
-    q = np.where(chi != 0, p, 1)
     fast = p <= np.where(chi != 0, _exact_base(m + 1), _exact_base(m))
-    i = np.flatnonzero(fast)
-    pf, qf = p[i], q[i]
-    out[i] = ((pf - omega[i]) * pf**(m - 1) * qf
-              / ((pf - 1)**m * (qf - chi[i])))
-    j = np.flatnonzero(~fast)
-    out[j] = [_factor(*v, m) for v in zip(p[j].tolist(), omega[j].tolist(),
-                                          chi[j].tolist())]
+    for i, dtype in ((np.flatnonzero(fast), np.int64),
+                     (np.flatnonzero(~fast), object)):
+        pf, w, c = (v[i].astype(dtype, copy=False) for v in (p, omega, chi))
+        q = np.where(c != 0, pf, 1)
+        out[i] = (pf - w) * pf**(m - 1) * q / ((pf - 1)**m * (q - c))
     return out
 
 

@@ -11,13 +11,14 @@ splitting of it lists the roots (small p are brute-forced instead).
 kronecker is imported from primality, whose Lucas test needs it too.
 
 _root_table and _root_counts, the root lists and counts for a whole array
-of primes, solve every prime 3 < p < 2^31 that does not divide the leading
-coefficient in int64 numpy lanes and hand the rest to the scalar path.
-Degree 1 and 2 lanes use the formulas above, with (D|p) by binary
-reciprocity (primality._lane_kronecker) for the count and the same square
-root (_cipolla) for the roots.  Degree >= 3 lanes get g_1 from _lane_g1,
-x^p mod f by square-and-multiply and a lane gcd: its degree is omega, a g_1
-of degree 1 or 2 is solved by the lane formulas, and only a g_1 of degree
+of primes, solve every prime p > 3 that does not divide the leading
+coefficient in numpy lanes, int64 below 2^31 and exact Python ints above
+(_lane_array), and hand the rest to the scalar path.  Degree 1 and 2 lanes
+use the formulas above, with (D|p) by binary reciprocity
+(primality._lane_kronecker) for the count and the same square root
+(_cipolla) for the roots.  Degree >= 3 lanes get g_1 from _lane_g1, x^p
+mod f by square-and-multiply and a lane gcd: its degree is omega, a g_1 of
+degree 1 or 2 is solved by the lane formulas, and only a g_1 of degree
 >= 3 goes to the scalar split.  On a 2-core Xeon, CPython 3.11, numpy 2.4:
 the naive constant of n^2-2 at 10^7 takes 0.15 s (0.37 s by Euler's
 criterion), and of n^3+2 at 3e5 0.15 s (2.4 s scalar); the root table of
@@ -40,7 +41,7 @@ from .primality import kronecker
 
 _BRUTE_FORCE_LIMIT = 4096
 _LANES = 1 << 13  # primes per batch of _root_table and the Euler product
-_LANE_LIMIT = 1 << 31  # p below it keeps every lane product below 2^62
+_LANE_LIMIT = 1 << 31  # int64 lanes below it, products below 2^62
 _G1_LANES = 1 << 11  # primes per sub-batch of _lane_g1
 _CANDIDATES = 4  # values of t per lane and round in _cipolla's search
 
@@ -118,18 +119,18 @@ def _root_count(f: Polynomial, p: int) -> int:
 
 
 def _root_counts(f: Polynomial, p: np.ndarray) -> np.ndarray:
-    """_root_count of f at each prime of the int64 array p.
+    """_root_count of f at each prime of the int64 or object array p.
 
-    The lanes 3 < p < 2^31 where p divides neither the leading coefficient
-    a nor, for degree 2, the discriminant D are counted at once: 1 for
-    degree 1, 1 + (D|p) by _lane_split for degree 2 and deg g_1 by _lane_g1
-    for degree >= 3.  Every other prime goes through _root_count.
+    The lanes p > 3 where p divides neither the leading coefficient a nor,
+    for degree 2, the discriminant D are counted at once: 1 for degree 1,
+    1 + (D|p) by _lane_split for degree 2 and deg g_1 by _lane_g1 for
+    degree >= 3.  Every other prime goes through _root_count.
     """
     omega = np.empty_like(p)
-    scalar = (p <= 3) | (p >= _LANE_LIMIT)
+    scalar = p <= 3
     lanes = np.flatnonzero(~scalar)
     if lanes.size:
-        q = p[lanes]
+        q = _lane_array(p[lanes])
         red = [c % q for c in f.coeffs]
         rest = red[-1] == 0
         count = np.zeros_like(q)
@@ -234,9 +235,10 @@ def _root_table(polys: Sequence[Polynomial], prime_arrays: Iterable[np.ndarray]
     array of primes given, each sorted by p and then r, without repeats.
 
     The arrays are int32 while every p is below 2^31, int64 beyond.  Lanes
-    are solved in batches of 2^13 primes by _lane_roots; the other primes
-    go through _roots_of_reduced, one at a time.  Each batch is narrowed
-    before its segment's one concatenation, so the table never exists twice.
+    are solved in batches of 2^13 primes by _lane_roots; the primes p <= 3
+    and those it leaves go through _roots_of_reduced, one at a time.  Each
+    batch is narrowed before its segment's one concatenation, so the table
+    never exists twice.
     """
     table = []
     for primes in prime_arrays:
@@ -254,12 +256,12 @@ def _batch_roots(polys: Sequence[Polynomial], primes: np.ndarray
     ps, rs = [], []
     scalar_p, scalar_r = [], []
     for f in polys:
-        scalar = (p <= 3) | (p >= _LANE_LIMIT)
+        scalar = p <= 3
         lanes = np.flatnonzero(~scalar)
         if lanes.size:
-            q, r, rest = _lane_roots(f.coeffs, p[lanes])
-            ps.append(q)
-            rs.append(r)
+            q, r, rest = _lane_roots(f.coeffs, _lane_array(p[lanes]))
+            ps.append(q.astype(np.int64, copy=False))
+            rs.append(r.astype(np.int64, copy=False))
             scalar[lanes[rest]] = True
         for q in p[scalar].tolist():
             roots = _roots_of_reduced(_reduce(f, q), q)
@@ -272,26 +274,30 @@ def _batch_roots(polys: Sequence[Polynomial], primes: np.ndarray
     new = np.ones(p.size, dtype=bool)
     new[1:] = (p[1:] != p[:-1]) | (r[1:] != r[:-1])
     p, r = p[new], r[new]
-    if primes[-1] >= _LANE_LIMIT:
-        return p, r
-    return p.astype(np.int32), r.astype(np.int32)
+    dtype = np.int64 if primes[-1] >= _LANE_LIMIT else np.int32
+    return p.astype(dtype, copy=False), r.astype(dtype, copy=False)
+
+
+def _lane_array(p: np.ndarray) -> np.ndarray:
+    """p as int64 lanes below 2^31, else as exact Python ints (object)."""
+    return p if p.max() < _LANE_LIMIT else p.astype(object)
 
 
 def _lane_roots(coeffs: Sequence, p: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Roots of a polynomial modulo each prime 3 < p < 2^31.
+    """Roots of a polynomial modulo each prime p > 3 of a _lane_array.
 
-    coeffs are ints, or int64 arrays with one value per lane.  Returns
-    (q, r), one entry per root found, and the mask of the lanes of p left
-    to the scalar path: p divides the leading coefficient or, for degree 2,
-    the discriminant D.  Degree >= 3 takes g_1 = gcd(x^p - x, f) from
-    _lane_g1 and solves it here when it has degree 1 or 2, else by
-    _split_linear_product; each prime must get deg g_1 roots.  Every root is
-    checked to satisfy f(r) = 0 (mod q), and every square root s of D to
-    satisfy s^2 = D, so an arithmetic fault raises instead of passing
-    silently.
+    coeffs are ints, or arrays of p's dtype with one value per lane.
+    Returns (q, r) in p's dtype, one entry per root found, and the mask of
+    the lanes of p left to the scalar path: p divides the leading
+    coefficient or, for degree 2, the discriminant D.  Degree >= 3 takes
+    g_1 = gcd(x^p - x, f) from _lane_g1 and solves it here when it has
+    degree 1 or 2, else by _split_linear_product; each prime must get
+    deg g_1 roots.  Every root is checked to satisfy f(r) = 0 (mod q), and
+    every square root s of D to satisfy s^2 = D, so an arithmetic fault
+    raises instead of passing silently.
     """
-    red = [c % p for c in coeffs]  # int64 coefficients: exact in lanes
+    red = [c % p for c in coeffs]  # reduced: products of two are exact
     if len(coeffs) == 2:
         rest = red[1] == 0
         q = p[~rest]
@@ -327,8 +333,8 @@ def _lane_roots(coeffs: Sequence, p: np.ndarray
             roots = _split_linear_product(g[:deg[i] + 1, i].tolist(), v)
             split_q.extend([v] * len(roots))
             split_r.extend(roots)
-        q = np.concatenate([*qs, np.array(split_q, dtype=np.int64)])
-        r = np.concatenate([*rs, np.array(split_r, dtype=np.int64)])
+        q = np.concatenate([*qs, np.array(split_q, dtype=p.dtype)])
+        r = np.concatenate([*rs, np.array(split_r, dtype=p.dtype)])
         found = np.bincount(np.searchsorted(lanes, q), minlength=lanes.size)
         if np.any(found != deg):
             raise ArithmeticError("a lane found other than deg g_1 roots")
@@ -344,7 +350,8 @@ def _lane_roots(coeffs: Sequence, p: np.ndarray
 def _lane_split(red: list[np.ndarray], p: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Whether a quadratic with coefficients red = (c, b, a) mod each prime
-    3 < p < 2^31 splits, by the Legendre symbol (D|p) of its discriminant.
+    p > 3 of a _lane_array splits, by the Legendre symbol (D|p) of its
+    discriminant D.
 
     Returns the mask of the lanes left to the scalar path (p divides a or
     D), the indices of the other lanes, D at those lanes and the mask of
@@ -352,7 +359,7 @@ def _lane_split(red: list[np.ndarray], p: np.ndarray
     dividing D rules out, so an arithmetic fault cannot pass silently.
     """
     c, b, a = red
-    disc = (b * b - 4 * a % p * c) % p  # every product below 2^62
+    disc = (b * b - 4 * a % p * c) % p  # int64: every product below 2^62
     rest = (a == 0) | (disc == 0)
     lanes = np.flatnonzero(~rest)
     q, disc = p[lanes], disc[lanes]
@@ -376,18 +383,18 @@ def _lane_pow(base: np.ndarray, exp: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def _lane_g1(coeffs: Sequence[int], p: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray]:
-    """g_1 = gcd(x^p - x, f) for f of degree d >= 3 modulo each prime
-    3 < p < 2^31 that does not divide its leading coefficient: the first
-    step of _gfpoly.distinct_degree in int64 lanes.
+    """g_1 = gcd(x^p - x, f) for f of degree d >= 3 modulo each prime p > 3
+    of a _lane_array that does not divide its leading coefficient: the
+    first step of _gfpoly.distinct_degree in numpy lanes.
 
-    Returns g_1, monic, as an array of shape (d + 1, lanes) in ascending
+    Returns g_1, monic, in p's dtype and shape (d + 1, lanes) in ascending
     order, and its degree per lane.  The lanes run _G1_LANES at a time, so
     every temporary stays small.  x^p mod f must satisfy f(x^p) = 0
     (mod f), since Frobenius fixes f's coefficients, and g_1 must divide
     both f and x^p - x mod f; a failed check raises ArithmeticError.
     """
     d = len(coeffs) - 1
-    g = np.empty((d + 1, p.size), dtype=np.int64)
+    g = np.empty((d + 1, p.size), dtype=p.dtype)
     deg = np.empty_like(p)
     for k in range(0, p.size, _G1_LANES):
         q = p[k:k + _G1_LANES]
@@ -427,7 +434,7 @@ def _lane_mulmod(a: np.ndarray, b: np.ndarray, neg: np.ndarray,
     """a * b mod (x^d - neg(x), p) for lane polynomials a, b of shape
     (d, lanes), d = len(neg), with reduced entries."""
     d = len(neg)
-    out = np.zeros((2 * d - 1, p.size), dtype=np.int64)
+    out = np.zeros((2 * d - 1, p.size), dtype=p.dtype)
     for i in range(d):
         out[i:i + d] += a[i] * b % p  # each sum below 2d p
     return _lane_reduce(out, neg, p)

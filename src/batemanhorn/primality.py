@@ -152,11 +152,11 @@ def kronecker(a: int, m: int) -> int:
 
 
 def _lane_kronecker(a: int | np.ndarray, m: np.ndarray) -> np.ndarray:
-    """kronecker(a, m) at each m > 0 of an int64 array, by the same binary
-    reciprocity steps (Cohen, Alg. 1.4.10) in numpy lanes; a is an int
-    that fits in int64 or an int64 array, one value per lane.  A lane
-    leaves the loop when its remainder reaches 0."""
-    result = np.ones_like(m)
+    """kronecker(a, m) as int64 at each m > 0 of an int64 or object array,
+    by the same binary reciprocity steps (Cohen, Alg. 1.4.10) in numpy
+    lanes; a is an int or an array of m's dtype, one value per lane (in
+    int64 range for int64 m).  A lane leaves when its remainder is 0."""
+    result = np.ones(m.shape, dtype=np.int64)
     tz = _trailing_zeros(m)
     result[(tz > 0) & (a % 2 == 0)] = 0
     result[(tz & 1 == 1) & ((a % 8 == 3) | (a % 8 == 5))] = -1
@@ -178,8 +178,8 @@ def _lane_kronecker(a: int | np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def _trailing_zeros(v: np.ndarray) -> np.ndarray:
-    """The exponent of 2 in each v > 0 of an int64 array (-1 at v = 0)."""
-    return np.frexp(v & -v)[1] - 1  # a power of 2 is exact in float64
+    """The exponent of 2 in each v > 0, int64 or Python ints (-1 at 0)."""
+    return np.frexp((v & -v).astype(float))[1] - 1  # 2^k is exact in float64
 
 
 def _selfridge_d(n: int) -> int | None:

@@ -298,6 +298,28 @@ def test_factors_equal_int_over_int(m):
     expected = [(p - w) * p**(m - 1) * (p if c else 1) /
                 ((p - 1)**m * ((p if c else 1) - c)) for p, w, c in lanes]
     assert _factors(p, omega, chi, m).tolist() == expected
+    # object arrays, as the prefactor passes them, with p past int64 too
+    lanes += [(p, omega, chi) for p in (2**61 - 1, 2**89 - 1)
+              for omega in (0, 1, 2) for chi in (-1, 0, 1)]
+    p, omega, chi = (np.array(v, dtype=object) for v in zip(*lanes))
+    assert _factors(p, omega, chi, m).tolist() == [
+        (p - w) * p**(m - 1) * (p if c else 1) /
+        ((p - 1)**m * ((p if c else 1) - c)) for p, w, c in lanes]
+
+
+def test_accelerated_exceptional_prime_past_2_53():
+    # D = -3 and the prime lead 94935793, above 94906265, the largest p with
+    # p^2 <= 2^53: its prefactor takes exact Python ints, bit for bit the
+    # per-prime loop's, and the result holds Python floats, not numpy's
+    from batemanhorn.constants import _exact_base
+    text = "94935793*n^2+19487*n+1"
+    assert discriminant(parse_polynomial(text)) == -3
+    assert 94935793 > _exact_base(2)
+    for truncation in (10, 10**4):
+        r = bh_constant_accelerated(parse_polynomial(text), truncation)
+        assert r == per_prime_euler_product(system(text), truncation, -3)
+        assert {type(r.value), type(r.error_estimate), type(r.l_value)} == \
+            {float}
 
 
 def test_accelerated_agrees_with_naive_within_drift():

@@ -23,6 +23,14 @@ from batemanhorn.poly import _inadmissibility_witness
 from batemanhorn.primality import _lane_kronecker, _prime_segments
 
 PRIMES_TO_997 = [int(p) for p in np.flatnonzero(simple_sieve(997))]
+# object lanes: the first prime above 2^31, the primes on either side of
+# 2^32 and the largest prime below the 2^40 sieve guard
+EDGE_PRIMES = [2147483659, 4294967291, 4294967311, 1099511627689]
+# one int64 batch and one object batch above 2^31: n^2+1 has no root mod
+# 2147483659 (3 mod 4), and n^3+2 three roots mod 2147483869 and one mod
+# 2147483693 and 4294967291
+FAULT_BATCHES = [PRIMES_TO_997[2:],
+                 [2147483659, 2147483693, 2147483869, 4294967291]]
 
 
 def brute_force_omega(coeffs, p):
@@ -116,6 +124,26 @@ def test_lane_kronecker_with_an_array_a_matches_kronecker():
     pairs = [(a, v) for a in avals for v in ms]
     a, m = (np.array(col, dtype=np.int64) for col in zip(*pairs))
     assert _lane_kronecker(a, m).tolist() == [kronecker(*ab) for ab in pairs]
+
+
+def test_lane_kronecker_on_object_arrays_matches_kronecker():
+    # Python-int lanes: a up to +-2^127, odd and even m up to 2^127, both
+    # as arrays paired every way and with one int a; the symbols are int64
+    rng = random.Random(19)
+    big = [2**31 + 11, 2**63 - 1, 2**64, 2**64 + 1, 3 * 2**100, 2**127 - 1,
+           2**127]
+    ms = list(range(1, 60)) + big + [rng.randrange(1, 2**127) >> k
+                                     for k in (0, 1, 2, 3) for _ in range(6)]
+    avals = list(range(-12, 12)) + [v for b in big for v in (b, -b, b - 1)] + \
+        [rng.randrange(-2**127, 2**127) for _ in range(24)]
+    pairs = [(a, v) for a in avals for v in ms]
+    a, m = (np.array(col, dtype=object) for col in zip(*pairs))
+    symbols = _lane_kronecker(a, m)
+    assert symbols.dtype == np.int64
+    assert symbols.tolist() == [kronecker(*ab) for ab in pairs]
+    for a in (-3, -(2**127), 2**127 - 1):
+        assert _lane_kronecker(a, np.array(ms, dtype=object)).tolist() == \
+            [kronecker(a, v) for v in ms]
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +414,25 @@ def test_root_table_prime_above_2_31():
         assert r.tolist() == list(list_roots(f, q).roots), text
 
 
+@pytest.mark.parametrize("text", [
+    "2*n+1", "n^2+1", "6*n^2+1", "n^3+2",
+    "9223372036854775807*n^8-9223372036854775807*n+9223372036854775806",
+    "2147483659*n^2+1",  # 2147483659 divides the lead: the scalar path
+])
+def test_root_table_and_counts_past_the_lane_limit(text):
+    f = parse_polynomial(text)
+    p = np.array(EDGE_PRIMES, dtype=np.int64)
+    [(q, r)] = _root_table([f], [p])
+    assert q.dtype == r.dtype == np.int64
+    assert list(zip(q.tolist(), r.tolist())) == \
+        [(v, root) for v in EDGE_PRIMES for root in list_roots(f, v).roots]
+    assert all(sum(c * pow(root, k, v) for k, c in enumerate(f.coeffs)) % v
+               == 0 for v, root in zip(q.tolist(), r.tolist()))
+    omega = modular._root_counts(f, p)
+    assert omega.dtype == np.int64
+    assert omega.tolist() == [_root_count(f, v) for v in EDGE_PRIMES]
+
+
 # ---------------------------------------------------------------------------
 # batched root counts
 # ---------------------------------------------------------------------------
@@ -407,24 +454,36 @@ def test_root_table_prime_above_2_31():
     "n^4+1", "3*n^3+5*n+7", "n^5-n+1",
     "9223372036854775807*n^8-9223372036854775807*n+9223372036854775806",
 ])
-def test_root_counts_match_root_count(text):
+def test_root_counts_match_root_count(text, monkeypatch):
     f = parse_polynomial(text)
-    # 2 and 3, the small primes that divide 2aD, the last primes below
-    # 2^31 and 2147483659, the first above it (scalar)
-    p = np.array(PRIMES_TO_997 + [2147483587, 2147483629, 2147483647,
-                                  2147483659], dtype=np.int64)
-    omega = modular._root_counts(f, p)
-    assert omega.dtype == np.int64
-    assert omega.tolist() == [_root_count(f, q) for q in p.tolist()]
+    lane_array = modular._lane_array
+    dtypes = []
+
+    def recording_lane_array(p):
+        lanes = lane_array(p)
+        dtypes.append(lanes.dtype)
+        return lanes
+
+    monkeypatch.setattr(modular, "_lane_array", recording_lane_array)
+    # 2 and 3, the small primes that divide 2aD and the last primes below
+    # 2^31 on int64 lanes; 2147483659, the first above it, on object lanes
+    for batch in (PRIMES_TO_997 + [2147483587, 2147483629, 2147483647],
+                  [2147483659]):
+        p = np.array(batch, dtype=np.int64)
+        omega = modular._root_counts(f, p)
+        assert omega.dtype == np.int64
+        assert omega.tolist() == [_root_count(f, q) for q in batch]
+    assert dtypes == [np.int64, object]
 
 
 def test_root_counts_raise_when_legendre_symbol_fails(monkeypatch):
     # p does not divide D in these lanes, so a symbol 0 is a fault
     monkeypatch.setattr(primality, "_lane_kronecker",
                         lambda a, m: np.zeros_like(m))
-    with pytest.raises(ArithmeticError, match="Legendre"):
-        modular._root_counts(parse_polynomial("n^2+1"),
-                             np.array([5, 7, 11], dtype=np.int64))
+    for batch in ([5, 7, 11], EDGE_PRIMES):
+        with pytest.raises(ArithmeticError, match="Legendre"):
+            modular._root_counts(parse_polynomial("n^2+1"),
+                                 np.array(batch, dtype=np.int64))
 
 
 def test_root_table_raises_when_legendre_symbol_is_flipped(monkeypatch):
@@ -432,9 +491,10 @@ def test_root_table_raises_when_legendre_symbol_is_flipped(monkeypatch):
     symbol = primality._lane_kronecker
     monkeypatch.setattr(primality, "_lane_kronecker",
                         lambda a, m: -symbol(a, m))
-    with pytest.raises(ArithmeticError, match="square root"):
-        _root_table([parse_polynomial("n^2+1")], [np.array(
-            PRIMES_TO_997[2:], dtype=np.int64)])
+    for batch in FAULT_BATCHES:
+        with pytest.raises(ArithmeticError, match="square root"):
+            _root_table([parse_polynomial("n^2+1")],
+                        [np.array(batch, dtype=np.int64)])
 
 
 def _corrupt(name, wrap):
@@ -443,31 +503,38 @@ def _corrupt(name, wrap):
     return name, lambda *args: wrap(original(*args), *args)
 
 
-@pytest.mark.parametrize("name,fault", [
+@pytest.mark.parametrize("name,fault,match", [
     # x^p mod f off by one: caught by f(x^p) = 0 (mod f)
-    _corrupt("_lane_mulmod", lambda out, a, b, neg, p: (out + 1) % p),
+    (*_corrupt("_lane_mulmod", lambda out, a, b, neg, p: (out + 1) % p),
+     r"f\(x\^p\) = 0"),
     # g_1 with its constant term moved: it no longer divides f
-    _corrupt("_lane_gcd", lambda out, a, b, p: (
+    (*_corrupt("_lane_gcd", lambda out, a, b, p: (
         np.vstack([(out[0][:1] + 1) % p, out[0][1:]]), out[1])),
+     "g_1 does not divide"),
 ], ids=["x^p", "gcd"])
-def test_lane_g1_raises_when_a_lane_is_corrupted(monkeypatch, name, fault):
+def test_lane_g1_raises_when_a_lane_is_corrupted(monkeypatch, name, fault,
+                                                  match):
     monkeypatch.setattr(modular, name, fault)
     f = parse_polynomial("n^3+2")
-    p = np.array(PRIMES_TO_997[2:], dtype=np.int64)
-    with pytest.raises(ArithmeticError):
-        modular._root_counts(f, p)
-    with pytest.raises(ArithmeticError):
-        _root_table([f], [p])
+    for batch in FAULT_BATCHES:
+        p = np.array(batch, dtype=np.int64)
+        with pytest.raises(ArithmeticError, match=match):
+            modular._root_counts(f, p)
+        with pytest.raises(ArithmeticError, match=match):
+            _root_table([f], [p])
 
 
-@pytest.mark.parametrize("fault", [
-    lambda roots, p: roots[1:],  # one root short of deg g_1
-    lambda roots, p: [(r + 1) % p for r in roots],  # f(r) != 0 (mod p)
+@pytest.mark.parametrize("fault,match", [
+    (lambda roots, p: roots[1:], "deg g_1 roots"),  # one root short
+    (lambda roots, p: [(r + 1) % p for r in roots],  # f(r) != 0 (mod p)
+     r"f\(r\) = 0"),
 ], ids=["count", "f(r)"])
-def test_root_table_raises_when_a_split_is_corrupted(monkeypatch, fault):
+def test_root_table_raises_when_a_split_is_corrupted(monkeypatch, fault,
+                                                     match):
     split = modular._split_linear_product
     monkeypatch.setattr(modular, "_split_linear_product",
                         lambda g, p: fault(split(g, p), p))
-    with pytest.raises(ArithmeticError):
-        _root_table([parse_polynomial("n^3+2")], [np.array(
-            PRIMES_TO_997[2:], dtype=np.int64)])
+    for batch in FAULT_BATCHES:
+        with pytest.raises(ArithmeticError, match=match):
+            _root_table([parse_polynomial("n^3+2")],
+                        [np.array(batch, dtype=np.int64)])

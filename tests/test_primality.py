@@ -126,7 +126,10 @@ def test_probable_tags_above_2_64():
 
 
 # (psi_k, k): smallest strong pseudoprime to the first k prime bases.
-WITNESS_TIER_EDGES = (
+# classify runs one base, 2, and then the strong Lucas test, so each psi_k
+# is a composite it must catch and a bound of the value ranges sampled in
+# test_classify_against_sympy_in_every_tier.
+STRONG_PSEUDOPRIME_EDGES = (
     (2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4),
     (2152302898747, 5), (3474749660383, 6), (341550071728321, 7),
     (3825123056546413051, 9),
@@ -138,9 +141,10 @@ STRONG_LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971, 22499, 24569,
                              25199, 40309, 58519)
 
 
-@pytest.mark.parametrize("psi,k", WITNESS_TIER_EDGES)
+@pytest.mark.parametrize("psi,k", STRONG_PSEUDOPRIME_EDGES)
 def test_witness_tier_edges(psi, k):
-    # psi_k fools the first k bases; Baillie-PSW must still call it composite
+    # psi_k fools a strong test with the first k bases; Baillie-PSW must
+    # still call it composite
     assert _miller_rabin(psi, FIRST_PRIMES[:k])
     assert classify(psi) == (False, DETERMINISTIC)
 
@@ -181,7 +185,9 @@ def test_products_p_times_2p_minus_1_are_deterministic_composites():
 def test_baillie_psw_matches_the_12_base_tier_on_sieve_survivors():
     # values with no prime factor below 1000, as the segment kernel hands
     # them over, from one 2^20 chunk of 6n^2+1 near n = 1e9 and from n^3+2;
-    # the first 12 primes decide every v < 2^64 (Sorenson, Webster 2017)
+    # a strong test with the first 12 primes as bases decides every
+    # v < 2^64 (Sorenson, Webster 2017), so it is an independent oracle for
+    # classify, which never runs more than base 2
     small = math.prod(np.flatnonzero(simple_sieve(1000)).tolist())
     rng = random.Random(1009)
     values = []
@@ -215,9 +221,11 @@ def test_strong_lucas_against_sympy():
 
 
 def test_classify_against_sympy_in_every_tier():
+    # 200 values, and the primes below them, from each range between
+    # consecutive psi_k and from [psi_9, 2^64) and [2^64, 2^80)
     sympy = pytest.importorskip("sympy")
     rng = random.Random(2017)
-    edges = [0] + [psi for psi, _ in WITNESS_TIER_EDGES] + [2**64, 2**80]
+    edges = [0] + [psi for psi, _ in STRONG_PSEUDOPRIME_EDGES] + [2**64, 2**80]
     for lo, hi in zip(edges, edges[1:]):
         for _ in range(200):
             v = rng.randrange(lo, hi)
