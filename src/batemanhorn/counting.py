@@ -26,11 +26,10 @@ scatter per block of table entries.
 The automatic bound (presieve_bound None) follows what the table costs per
 prime, which the degrees decide.  Measured on a 2-core Xeon, CPython 3.11,
 numpy 2.4: degrees 1 and 2 are solved in numpy lanes at about 3 us a prime.
-A cubic's table costs about 47 us a prime (0.45 s for n^3+2 at B = 10^5,
-against 1.19 s before its g_1 = gcd(x^p - x, f) moved into lanes): g_1 takes
-a few us a prime in lanes, and the rest is the scalar split of g_1 at the
-primes where it has degree 3, one in six.  A Baillie-PSW test of a prime
-value near 6e12 costs about 45 us.
+A cubic's table costs about 10 us a prime (0.10 s for n^3+2 at B = 10^5,
+against 0.45 s when g_1 = gcd(x^p - x, f) was split by the scalar path and
+1.19 s all scalar): g_1 and its split both run in lanes.  A Baillie-PSW
+test of a prime value near 6e12 costs about 25 us, near 2^64 about 45 us.
 So when every f_i has degree <= 2, B is capped only at 2^25: pi(2^25) =
 2,063,689 primes cost about 6 s and 16 MB for one quadratic, and the cap
 covers the full bound of `reproduce 2 --cap 1e7` (isqrt(6e14) + 1 =

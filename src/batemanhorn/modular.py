@@ -17,13 +17,14 @@ coefficient in numpy lanes, int64 below 2^31 and exact Python ints above
 use the formulas above, with (D|p) by binary reciprocity
 (primality._lane_kronecker) for the count and the same square root
 (_cipolla) for the roots.  Degree >= 3 lanes get g_1 from _lane_g1, x^p
-mod f by square-and-multiply and a lane gcd: its degree is omega, a g_1 of
-degree 1 or 2 is solved by the lane formulas, and only a g_1 of degree
->= 3 goes to the scalar split.  On a 2-core Xeon, CPython 3.11, numpy 2.4:
-the naive constant of n^2-2 at 10^7 takes 0.15 s (0.37 s by Euler's
-criterion), and of n^3+2 at 3e5 0.15 s (2.4 s scalar); the root table of
-n^3+2 at B = 10^5 takes 0.45 s (1.19 s scalar), most of it the scalar
-splits of the 1,559 primes with three roots.
+mod f by square-and-multiply and a lane gcd: its degree is omega, and
+_lane_linear_roots lists its roots, splitting a g_1 of degree >= 3 by
+Cantor-Zassenhaus in the same lanes down to the degree 1 and 2 formulas.
+On a 2-core Xeon, CPython 3.11, numpy 2.4: the naive constant of n^2-2 at
+10^7 takes 0.15 s (0.37 s by Euler's criterion), and of n^3+2 at 3e5
+0.15 s (2.4 s scalar); the root table of n^3+2 at B = 10^5 takes 0.10 s
+(0.45 s with a scalar split of g_1 at the 1,559 primes with three roots,
+1.19 s all scalar).
 """
 
 from __future__ import annotations
@@ -291,11 +292,11 @@ def _lane_roots(coeffs: Sequence, p: np.ndarray
     Returns (q, r) in p's dtype, one entry per root found, and the mask of
     the lanes of p left to the scalar path: p divides the leading
     coefficient or, for degree 2, the discriminant D.  Degree >= 3 takes
-    g_1 = gcd(x^p - x, f) from _lane_g1 and solves it here when it has
-    degree 1 or 2, else by _split_linear_product; each prime must get
-    deg g_1 roots.  Every root is checked to satisfy f(r) = 0 (mod q), and
-    every square root s of D to satisfy s^2 = D, so an arithmetic fault
-    raises instead of passing silently.
+    g_1 = gcd(x^p - x, f) from _lane_g1 and its roots from
+    _lane_linear_roots; each prime must get deg g_1 roots.  Every root is
+    checked to satisfy f(r) = 0 (mod q), and every square root s of D to
+    satisfy s^2 = D, so an arithmetic fault raises instead of passing
+    silently.
     """
     red = [c % p for c in coeffs]  # reduced: products of two are exact
     if len(coeffs) == 2:
@@ -321,20 +322,7 @@ def _lane_roots(coeffs: Sequence, p: np.ndarray
         rest = red[-1] == 0
         lanes = p[~rest]
         g, deg = _lane_g1(coeffs, lanes)
-        qs, rs = [], []
-        for k in (1, 2):
-            i = np.flatnonzero(deg == k)
-            q, r, _ = _lane_roots(tuple(g[:k + 1, i]), lanes[i])
-            qs.append(q)
-            rs.append(r)
-        split_q, split_r = [], []
-        for i in np.flatnonzero(deg > 2).tolist():
-            v = int(lanes[i])
-            roots = _split_linear_product(g[:deg[i] + 1, i].tolist(), v)
-            split_q.extend([v] * len(roots))
-            split_r.extend(roots)
-        q = np.concatenate([*qs, np.array(split_q, dtype=p.dtype)])
-        r = np.concatenate([*rs, np.array(split_r, dtype=p.dtype)])
+        q, r = _lane_linear_roots(g, deg, lanes)
         found = np.bincount(np.searchsorted(lanes, q), minlength=lanes.size)
         if np.any(found != deg):
             raise ArithmeticError("a lane found other than deg g_1 roots")
@@ -345,6 +333,47 @@ def _lane_roots(coeffs: Sequence, p: np.ndarray
     if np.any(acc):
         raise ArithmeticError("a lane root failed the check f(r) = 0 (mod p)")
     return q, r, rest
+
+
+def _lane_linear_roots(g: np.ndarray, deg: np.ndarray, p: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """(q, r) for each root r mod q of g, of shape (m, lanes), monic of
+    degree deg < m and a product of distinct linear factors modulo each
+    prime p > 3 of a _lane_array: _split_linear_product in lanes.
+
+    Degree 1 and 2 lanes take _lane_roots' formulas.  The others split by
+    Cantor-Zassenhaus with shifts t = 1, 2, ... shared by every lane: with
+    h = (x + t)^((p-1)/2) mod g, once gcd(g, h - 1) has 0 < degree < deg g,
+    it and gcd(g, h + 1) replace g, and -t is a root if they miss one.  A
+    factor born at shift t splits at no shift <= t, so sharing t skips
+    none.  A lane unsplit at t >= p raises, as the scalar split does.
+    """
+    out, t = [], 0
+    while True:
+        out += [_lane_roots(tuple(g[:k + 1, deg == k]), p[deg == k])[:2]
+                for k in (1, 2)]
+        big = deg > 2
+        g, deg, p, t = g[:, big], deg[big], p[big], t + 1
+        if not p.size:
+            return tuple(np.concatenate(a) for a in zip(*out))
+        if np.any(p <= t):
+            raise ArithmeticError("no shift t < p splits a lane into linears")
+        h = np.zeros_like(g)
+        for j in set(deg.tolist()):
+            i = np.flatnonzero(deg == j)
+            q = p[i]
+            h[:j, i] = _lane_powmod(t, q >> 1, (q - g[:j, i]) % q, q)
+        h[0] = (h[0] - 1) % p
+        part, dp = _lane_gcd(g, h, p)
+        split = (0 < dp) & (dp < deg)
+        h, q = h[:, split], p[split]
+        h[0] = (h[0] + 2) % q
+        rest, dr = _lane_gcd(g[:, split], h, q)
+        at_t = dp[split] + dr < deg[split]  # x + t divides g
+        out.append((q[at_t], -t % q[at_t]))
+        g = np.hstack([np.where(split, part, g), rest])
+        deg = np.concatenate([np.where(split, dp, deg), dr])
+        p = np.concatenate([p, q])
 
 
 def _lane_split(red: list[np.ndarray], p: np.ndarray
@@ -395,7 +424,7 @@ def _lane_g1(coeffs: Sequence[int], p: np.ndarray
     """
     d = len(coeffs) - 1
     g = np.empty((d + 1, p.size), dtype=p.dtype)
-    deg = np.empty_like(p)
+    deg = np.empty(p.size, dtype=np.int64)
     for k in range(0, p.size, _G1_LANES):
         q = p[k:k + _G1_LANES]
         zero = np.zeros_like(q)
@@ -403,12 +432,7 @@ def _lane_g1(coeffs: Sequence[int], p: np.ndarray
         inv = _lane_pow(red[-1], q - 2, q)
         monic = np.array([c * inv % q for c in red])
         neg = (q - monic[:d]) % q  # x^d = neg(x) (mod f)
-        h = np.zeros_like(neg)
-        h[0] = 1
-        for bit in reversed(range(int(q.max()).bit_length())):
-            h = _lane_mulmod(h, h, neg, q)
-            odd = (q >> bit) & 1 == 1
-            h = np.where(odd, _lane_reduce(np.vstack([zero, h]), neg, q), h)
+        h = _lane_powmod(0, q, neg, q)
         f_of_h = np.zeros_like(h)
         f_of_h[0] = 1
         for c in monic[d - 1::-1]:  # Horner, in GF(p)[x]/(f)
@@ -427,6 +451,21 @@ def _lane_g1(coeffs: Sequence[int], p: np.ndarray
                         "a lane g_1 does not divide both f and x^p - x")
         g[:, k:k + _G1_LANES], deg[k:k + _G1_LANES] = gk, dk
     return g, deg
+
+
+def _lane_powmod(t: int, e: np.ndarray, neg: np.ndarray, p: np.ndarray
+                 ) -> np.ndarray:
+    """(x + t)^e mod (x^j - neg(x), p), j = len(neg), lane by lane, by
+    square-and-multiply; neg has shape (j, lanes) and reduced entries."""
+    h = np.zeros_like(neg)
+    h[0] = 1
+    for bit in reversed(range(int(e.max()).bit_length())):
+        h = _lane_mulmod(h, h, neg, p)
+        xh = _lane_reduce(np.vstack([np.zeros_like(p), h]), neg, p)
+        if t:
+            xh = (xh + t * h) % p
+        h = np.where((e >> bit) & 1 == 1, xh, h)
+    return h
 
 
 def _lane_mulmod(a: np.ndarray, b: np.ndarray, neg: np.ndarray,

@@ -5,8 +5,9 @@ fixed 2^20 segments, struck by the base primes that simple_sieve finds up to
 sqrt(limit); it yields from _prime_segments, the sieve itself, which hands
 over each segment's primes as one array.  Single-number testing is trial
 division by gcd, then Baillie-PSW: a strong base-2 Miller-Rabin round plus
-a strong Lucas test with Selfridge parameters, whose D comes from kronecker.
-Prime verdicts are tagged 'probable' at or above 2^64.
+a strong Lucas test with Selfridge parameters, whose D comes from kronecker
+and whose ladder runs on the equivalent Q = 1 sequence of alpha / beta, two
+products a bit.  Prime verdicts are tagged 'probable' at or above 2^64.
 Composite verdicts are always certain: a failed Miller-Rabin or Lucas test
 or a found factor is a proof.
 """
@@ -195,7 +196,16 @@ def _selfridge_d(n: int) -> int | None:
 
 
 def _strong_lucas(n: int) -> bool:
-    """Strong Lucas probable-prime test with Selfridge parameters, odd n."""
+    """Strong Lucas probable-prime test with Selfridge parameters, odd n:
+    with n + 1 = d 2^s, U_d = 0 or V_(d 2^r) = 0 (mod n) for some r < s.
+
+    The ladder runs on the Q = 1 sequence V'_m = a^m + a^-m of a = alpha /
+    beta, alpha and beta the roots of x^2 - x + Q: V'_m = V_2m / Q^m and
+    V'_1 = c = 1/Q - 2, two products a bit and no powers of Q.  Q and
+    D = (alpha - beta)^2 are units mod n, so a - 1/a = (alpha - beta) / Q
+    is one too, and U_d = 0 or V_d = 0 iff a^d = +-1 iff (V'_d, V'_(d+1)) =
+    +-(2, c); for r >= 1, V_(d 2^r) = 0 iff V'_(d 2^(r-1)) = 0.
+    """
     r = math.isqrt(n)
     if r * r == n:
         return False
@@ -203,30 +213,29 @@ def _strong_lucas(n: int) -> bool:
     if D is None:
         return False
     Q = (1 - D) // 4  # and P = 1
+    if math.gcd(Q, n) != 1:  # never: an odd prime factor of Q would be
+        return False  # some |D| tried before, and (D|n) = 0 returns above
+    c = (pow(Q, -1, n) - 2) % n
 
     k = n + 1
     s = (k & -k).bit_length() - 1
     d = k >> s
 
-    # Binary ladder for V_k, V_{k+1} (mod n) from k = 1, tracking Q^k:
-    # V_2k = V_k^2 - 2 Q^k and V_{2k+1} = V_k V_{k+1} - Q^k.
-    V, W, Qk = 1, (1 - 2 * Q) % n, Q % n
+    # Binary ladder for V'_k, V'_(k+1) from k = 1:
+    # V'_2k = V'_k^2 - 2 and V'_(2k+1) = V'_k V'_(k+1) - c.
+    V, W = c, (c * c - 2) % n
     for bit in bin(d)[3:]:
         if bit == "1":
-            V, W = (V * W - Qk) % n, (W * W - 2 * Qk * Q) % n
-            Qk = Qk * Qk * Q % n
+            V, W = (V * W - c) % n, (W * W - 2) % n
         else:
-            V, W = (V * V - 2 * Qk) % n, (V * W - Qk) % n
-            Qk = Qk * Qk % n
+            V, W = (V * V - 2) % n, (V * W - c) % n
 
-    # D U_d = 2 V_{d+1} - V_d, and D is a unit mod odd n since (D|n) = -1.
-    if V == 0 or (2 * W - V) % n == 0:
+    if (V, W) in ((2, c), (n - 2, -c % n)):
         return True
     for _ in range(s - 1):
-        V = (V * V - 2 * Qk) % n
         if V == 0:
             return True
-        Qk = Qk * Qk % n
+        V = (V * V - 2) % n
     return False
 
 

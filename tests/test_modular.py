@@ -33,13 +33,18 @@ FAULT_BATCHES = [PRIMES_TO_997[2:],
                  [2147483659, 2147483693, 2147483869, 4294967291]]
 
 
-def brute_force_omega(coeffs, p):
-    """Independent residue-scan oracle for the root count mod p."""
+def brute_force_roots(coeffs, p):
+    """Independent residue-scan oracle for the sorted roots mod p."""
     n = np.arange(p, dtype=np.int64)
     acc = np.zeros(p, dtype=np.int64)
     for c in reversed(coeffs):
         acc = (acc * n + c) % p
-    return int(np.count_nonzero(acc == 0))
+    return np.flatnonzero(acc == 0).tolist()
+
+
+def brute_force_omega(coeffs, p):
+    """Independent residue-scan oracle for the root count mod p."""
+    return len(brute_force_roots(coeffs, p))
 
 
 def random_poly(rng, max_degree=4, bound=50):
@@ -525,16 +530,44 @@ def test_lane_g1_raises_when_a_lane_is_corrupted(monkeypatch, name, fault,
 
 
 @pytest.mark.parametrize("fault,match", [
-    (lambda roots, p: roots[1:], "deg g_1 roots"),  # one root short
-    (lambda roots, p: [(r + 1) % p for r in roots],  # f(r) != 0 (mod p)
+    (lambda q, r, split: (np.delete(q, split.argmax()),  # one root short
+                          np.delete(r, split.argmax())), "deg g_1 roots"),
+    (lambda q, r, split: (q, np.where(split, (r + 1) % q, r)),  # f(r) != 0
      r"f\(r\) = 0"),
 ], ids=["count", "f(r)"])
 def test_root_table_raises_when_a_split_is_corrupted(monkeypatch, fault,
                                                      match):
-    split = modular._split_linear_product
-    monkeypatch.setattr(modular, "_split_linear_product",
-                        lambda g, p: fault(split(g, p), p))
+    # the fault hits only the roots of lanes whose g_1 has degree >= 3,
+    # the ones the lane split solves
+    linear_roots = modular._lane_linear_roots
+
+    def corrupted(g, deg, p):
+        q, r = linear_roots(g, deg, p)
+        split = np.isin(q.astype(np.int64), p[deg > 2].astype(np.int64))
+        assert split.any()
+        return fault(q, r, split)
+
+    monkeypatch.setattr(modular, "_lane_linear_roots", corrupted)
     for batch in FAULT_BATCHES:
         with pytest.raises(ArithmeticError, match=match):
             _root_table([parse_polynomial("n^3+2")],
                         [np.array(batch, dtype=np.int64)])
+
+
+@pytest.mark.parametrize("text", [
+    "n^3+2", "n^3-3*n+1", "n^4+1",
+    "n^6+n^5+n^4+n^3+n^2+n+1",  # 6 roots at p = 1 (mod 7): the split recurses
+])
+def test_lane_split_against_brute_force_and_list_roots(text):
+    f = parse_polynomial(text)
+    [(p, r)] = _root_table([f], _prime_segments(2 * 10**4))
+    assert list(zip(p.tolist(), r.tolist())) == \
+        [(q, root) for q in primes_up_to(2 * 10**4)
+         for root in brute_force_roots(f.coeffs, q)]
+    assert max(np.bincount(p)) == f.degree  # some lanes split all the way
+    # object lanes, where list_roots, which no longer shares the lane
+    # split, is the oracle; every f splits completely mod 2147506201
+    for batch in (EDGE_PRIMES, sorted(FAULT_BATCHES[1] + [2147506201])):
+        [(p, r)] = _root_table([f], [np.array(batch, dtype=np.int64)])
+        assert list(zip(p.tolist(), r.tolist())) == \
+            [(v, root) for v in batch for root in list_roots(f, v).roots]

@@ -220,6 +220,40 @@ def test_strong_lucas_against_sympy():
     assert verdicts == {False, True}
 
 
+def test_strong_lucas_against_sympy_on_every_odd_n_below_1e5():
+    # every odd n in [3, 10^5), the 157 odd perfect squares and the n that
+    # share a factor with some Selfridge D among them, and 200 values in
+    # [2^64, 2^127), half of them primes
+    sympy = pytest.importorskip("sympy")
+    from sympy.ntheory.primetest import is_strong_lucas_prp
+    rng = random.Random(127)
+    large = [rng.randrange(2**64, 2**127) | 1 for _ in range(200)]
+    large[::2] = [sympy.nextprime(v) for v in large[::2]]
+    values = list(range(3, 10**5, 2)) + large
+    assert [n for n in values
+            if _strong_lucas(n) != is_strong_lucas_prp(n)] == []
+    assert {_strong_lucas(v) for v in large} == {False, True}
+
+
+def test_classify_against_sympy_past_2_64():
+    # 100 values in [2^126, 2^127), half of them primes, and n^3+2 for n in
+    # [2642246, 2643246], where the cubic's values first pass 2^64
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2126)
+    large = [rng.randrange(2**126, 2**127 - 2**20) for _ in range(100)]
+    large[::2] = [sympy.nextprime(v) for v in large[::2]]
+    values = large + [n**3 + 2 for n in range(2642246, 2643247)]
+    assert 2642245**3 + 2 < 2**64 <= 2642246**3 + 2
+    assert max(large) < 2**127
+    primes = 0
+    for v in values:
+        expected = sympy.isprime(v)
+        assert classify(v) == \
+            (expected, PROBABLE if expected else DETERMINISTIC), v
+        primes += expected
+    assert 0 < primes < len(values)
+
+
 def test_classify_against_sympy_in_every_tier():
     # 200 values, and the primes below them, from each range between
     # consecutive psi_k and from [psi_9, 2^64) and [2^64, 2^80)
