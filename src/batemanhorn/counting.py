@@ -25,13 +25,14 @@ scatter per block of table entries.
 
 The automatic bound (presieve_bound None) follows what the table costs per
 prime, which the degrees decide.  Measured on a 2-core Xeon, CPython 3.11,
-numpy 2.4: degrees 1 and 2 are solved in numpy lanes at about 3 us a prime.
-A cubic's table costs about 10 us a prime (0.10 s for n^3+2 at B = 10^5,
+numpy 2.4: degrees 1 and 2 are solved in numpy lanes at about 1.1 us a
+prime (1.5 us before (D|p) and small inverses were read from tables).  A
+cubic's table costs about 10 us a prime (0.10 s for n^3+2 at B = 10^5,
 against 0.45 s when g_1 = gcd(x^p - x, f) was split by the scalar path and
 1.19 s all scalar): g_1 and its split both run in lanes.  A Baillie-PSW
 test of a prime value near 6e12 costs about 25 us, near 2^64 about 45 us.
 So when every f_i has degree <= 2, B is capped only at 2^25: pi(2^25) =
-2,063,689 primes cost about 6 s and 16 MB for one quadratic, and the cap
+2,063,689 primes cost about 2 s and 16 MB for one quadratic, and the cap
 covers the full bound of `reproduce 2 --cap 1e7` (isqrt(6e14) + 1 =
 24,494,898), which then runs no primality test past n_star.  Otherwise the
 cap stays 1e5.  An explicit presieve_bound is an upper limit as before.

@@ -4,7 +4,8 @@ The root count omega(p) of the system's product polynomial drives every local
 factor of the Euler product, and explicit root lists drive the counting
 engine's pre-sieve.  Degree 1 has a closed form, and degree 2 reads the
 count off a Kronecker symbol of the discriminant D (sqrt_mod of D lists the
-roots: the (p+1)/4 exponent for p = 3 (mod 4), else Cipolla's method).
+roots: the (p+1)/4 exponent for p = 3 (mod 4), Atkin's formula for p = 5
+(mod 8), else Cipolla's method).
 Higher degrees take g_1 = gcd(x^p - x, f) over GF(p), the first step of
 _gfpoly.distinct_degree: its degree is the count, and equal-degree
 splitting of it lists the roots (small p are brute-forced instead).
@@ -14,15 +15,18 @@ _root_table and _root_counts, the root lists and counts for a whole array
 of primes, solve every prime p > 3 that does not divide the leading
 coefficient in numpy lanes, int64 below 2^31 and exact Python ints above
 (_lane_array), and hand the rest to the scalar path.  Degree 1 and 2 lanes
-use the formulas above, with (D|p) by binary reciprocity
-(primality._lane_kronecker) for the count and the same square root
-(_cipolla) for the roots.  Degree >= 3 lanes get g_1 from _lane_g1, x^p
-mod f by square-and-multiply and a lane gcd: its degree is omega, and
-_lane_linear_roots lists its roots, splitting a g_1 of degree >= 3 by
-Cantor-Zassenhaus in the same lanes down to the degree 1 and 2 formulas.
-On a 2-core Xeon, CPython 3.11, numpy 2.4: the naive constant of n^2-2 at
-10^7 takes 0.15 s (0.37 s by Euler's criterion), and of n^3+2 at 3e5
-0.15 s (2.4 s scalar); the root table of n^3+2 at B = 10^5 takes 0.10 s
+use the formulas above and the same square root (_lane_sqrt).  With integer
+coefficients, (D|p) and the inverse of a lead or of 2a come from tables of
+at most _LANES entries, gathered at p mod |D| or |c|; larger ones take
+binary reciprocity (primality._lane_kronecker) and a power.  Degree >= 3
+lanes get g_1 from _lane_g1, x^p mod f by square-and-multiply and a lane
+gcd: its degree is omega, and _lane_linear_roots lists its roots, splitting
+a g_1 of degree >= 3 by Cantor-Zassenhaus in the same lanes down to the
+degree 1 and 2 formulas.  On a 2-core Xeon, CPython 3.11, numpy 2.4: the
+root table of 6n^2+1 at B = 2,449,490 takes 0.19 s (0.28 s by reciprocity
+and a power at every prime), the naive constant of n^2-2 at 10^7 0.10 s
+(0.14 s by reciprocity, 0.37 s by Euler's criterion), and of n^3+2 at 3e5
+0.13 s (2.4 s scalar); the root table of n^3+2 at B = 10^5 takes 0.10 s
 (0.45 s with a scalar split of g_1 at the 1,559 primes with three roots,
 1.19 s all scalar).
 """
@@ -75,7 +79,9 @@ def sqrt_mod(a: int, p: int) -> int | None:
 def _sqrt_mod(a: int, p: int) -> int | None:
     """sqrt_mod for a p already known to be prime.
 
-    a^((p+1)/4) when p = 3 (mod 4), else Cipolla's method with the first
+    a^((p+1)/4) when p = 3 (mod 4); when p = 5 (mod 8), Atkin's a b (2ab^2 - 1)
+    with b = (2a)^((p-5)/8), as 2ab^2 is a root of -1 (Atkin 1992; Mueller,
+    Des. Codes Cryptogr. 31, 2004); else Cipolla's method with the first
     t = 1, 2, ... for which w = t^2 - a is a nonresidue: the root is
     (t + sqrt(w))^((p+1)/2) in GF(p)[X]/(X^2 - w).  _lane_sqrt runs the same
     steps in numpy lanes and returns the same root.
@@ -87,6 +93,9 @@ def _sqrt_mod(a: int, p: int) -> int | None:
         return None
     if p % 4 == 3:
         return pow(a, (p + 1) // 4, p)
+    if p % 8 == 5:
+        b = pow(2 * a, (p - 5) // 8, p)
+        return a * b * (2 * a * b * b - 1) % p
     t = 1
     while pow((t * t - a) % p, (p - 1) // 2, p) != p - 1:
         t += 1
@@ -138,7 +147,7 @@ def _root_counts(f: Polynomial, p: np.ndarray) -> np.ndarray:
         if f.degree == 1:
             count[:] = 1
         elif f.degree == 2:
-            rest, split_lanes, _, split = _lane_split(red, q)
+            rest, split_lanes, _, split = _lane_split(f.coeffs, red, q)
             count[split_lanes] = 2 * split
         else:
             _, count[~rest] = _lane_g1(f.coeffs, q[~rest])
@@ -275,7 +284,7 @@ def _batch_roots(polys: Sequence[Polynomial], primes: np.ndarray
     new = np.ones(p.size, dtype=bool)
     new[1:] = (p[1:] != p[:-1]) | (r[1:] != r[:-1])
     p, r = p[new], r[new]
-    dtype = np.int64 if primes[-1] >= _LANE_LIMIT else np.int32
+    dtype = np.int64 if primes.max() >= _LANE_LIMIT else np.int32
     return p.astype(dtype, copy=False), r.astype(dtype, copy=False)
 
 
@@ -304,16 +313,16 @@ def _lane_roots(coeffs: Sequence, p: np.ndarray
         q = p[~rest]
         red = [v[~rest] for v in red]
         b, a = red
-        r = (q - b) * _lane_pow(a, q - 2, q) % q
+        r = (q - b) * _lane_inverse(coeffs[1], a, q) % q
     elif len(coeffs) == 3:
-        rest, lanes, disc, split = _lane_split(red, p)
+        rest, lanes, disc, split = _lane_split(coeffs, red, p)
         lanes, disc = lanes[split], disc[split]
         q = p[lanes]
         s = _lane_sqrt(disc, q)
         if np.any(s * s % q != disc):
             raise ArithmeticError("a lane square root failed its check")
         c, b, a = [v[lanes] for v in red]
-        inv2a = _lane_pow(2 * a % q, q - 2, q)
+        inv2a = _lane_inverse(2 * coeffs[2], 2 * a % q, q)
         r = np.concatenate([(q - b + s) % q * inv2a % q,
                             (2 * q - b - s) % q * inv2a % q])
         q = np.concatenate([q, q])
@@ -323,7 +332,9 @@ def _lane_roots(coeffs: Sequence, p: np.ndarray
         lanes = p[~rest]
         g, deg = _lane_g1(coeffs, lanes)
         q, r = _lane_linear_roots(g, deg, lanes)
-        found = np.bincount(np.searchsorted(lanes, q), minlength=lanes.size)
+        order = np.argsort(lanes)  # count per lane in any order of primes
+        found = np.bincount(order[np.searchsorted(lanes, q, sorter=order)],
+                            minlength=lanes.size)
         if np.any(found != deg):
             raise ArithmeticError("a lane found other than deg g_1 roots")
         red = [c % q for c in coeffs]
@@ -376,11 +387,13 @@ def _lane_linear_roots(g: np.ndarray, deg: np.ndarray, p: np.ndarray
         p = np.concatenate([p, q])
 
 
-def _lane_split(red: list[np.ndarray], p: np.ndarray
+def _lane_split(coeffs: Sequence, red: list[np.ndarray], p: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Whether a quadratic with coefficients red = (c, b, a) mod each prime
-    p > 3 of a _lane_array splits, by the Legendre symbol (D|p) of its
-    discriminant D.
+    """Whether a quadratic with coefficients coeffs, red = (c, b, a) mod each
+    prime p > 3 of a _lane_array, splits, by the Legendre symbol (D|p) of
+    its discriminant D: for integers with 0 < |D| <= _LANES read at p % |D|
+    from a table of (D|m), m in [|D|, 2|D|), as D = 0 or 1 (mod 4) gives
+    (D|.) period |D|, else by the lane Kronecker symbol of D mod p.
 
     Returns the mask of the lanes left to the scalar path (p divides a or
     D), the indices of the other lanes, D at those lanes and the mask of
@@ -392,7 +405,13 @@ def _lane_split(red: list[np.ndarray], p: np.ndarray
     rest = (a == 0) | (disc == 0)
     lanes = np.flatnonzero(~rest)
     q, disc = p[lanes], disc[lanes]
-    sym = primality._lane_kronecker(disc, q)
+    c, b, a = coeffs
+    d = b * b - 4 * a * c if isinstance(a, int) else 0
+    if 0 < (m := abs(d)) <= _LANES:  # costs at most one batch of symbols
+        sym = primality._lane_kronecker(d, np.arange(m, 2 * m))[
+            (q % m).astype(np.int64)]
+    else:
+        sym = primality._lane_kronecker(disc, q)
     if np.any(sym == 0):
         raise ArithmeticError("a lane Legendre symbol of D was 0")
     return rest, lanes, disc, sym == 1
@@ -408,6 +427,21 @@ def _lane_pow(base: np.ndarray, exp: np.ndarray, p: np.ndarray) -> np.ndarray:
         if not exp.any():
             return result
         base = base * base % p
+
+
+def _lane_inverse(c, a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """1/a mod each prime p of a _lane_array, for a = c mod p a unit: for
+    an integer 0 < |c| <= _LANES, (1 + k p)/|c|, negated if c < 0, with
+    k = -1/p mod |c| read at p % |c| from a table of the r^(phi(|c|) - 1);
+    else a^(p-2) by _lane_pow."""
+    m = abs(c) if isinstance(c, int) else 0
+    if not 0 < m <= _LANES:
+        return _lane_pow(a, p - 2, p)
+    r = np.arange(m)
+    phi = np.count_nonzero(np.gcd(r, m) == 1)
+    k = -_lane_pow(r, np.full(m, phi - 1), np.full(m, m)) % m
+    inv = (1 + k[(p % m).astype(np.int64)] * p) // m
+    return inv if c > 0 else (p - inv) % p
 
 
 def _lane_g1(coeffs: Sequence[int], p: np.ndarray
@@ -429,7 +463,7 @@ def _lane_g1(coeffs: Sequence[int], p: np.ndarray
         q = p[k:k + _G1_LANES]
         zero = np.zeros_like(q)
         red = [c % q for c in coeffs]
-        inv = _lane_pow(red[-1], q - 2, q)
+        inv = _lane_inverse(coeffs[-1], red[-1], q)
         monic = np.array([c * inv % q for c in red])
         neg = (q - monic[:d]) % q  # x^d = neg(x) (mod f)
         h = _lane_powmod(0, q, neg, q)
@@ -523,16 +557,22 @@ def _lane_degree(a: np.ndarray) -> np.ndarray:
 
 
 def _lane_sqrt(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """A square root of each quadratic residue a modulo odd prime p."""
+    """A square root of each quadratic residue a modulo odd prime p, by
+    _sqrt_mod's steps (_cipolla's when p = 1 (mod 8)) and so its root."""
     s = np.empty_like(p)
     easy = p % 4 == 3
     s[easy] = _lane_pow(a[easy], (p[easy] + 1) // 4, p[easy])
-    s[~easy] = _cipolla(a[~easy], p[~easy])
+    atkin = p % 8 == 5
+    q, x = p[atkin], a[atkin]
+    b = _lane_pow(2 * x % q, (q - 5) // 8, q)
+    s[atkin] = x * b % q * ((2 * x % q * b % q * b - 1) % q) % q
+    cipolla = p % 8 == 1
+    s[cipolla] = _cipolla(a[cipolla], p[cipolla])
     return s
 
 
 def _cipolla(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Cipolla's square root of the residue a modulo each prime p = 1 (mod 4),
+    """Cipolla's square root of the residue a modulo each prime p = 1 (mod 8),
     the lane form of sqrt_mod's, with the same t and so the same root.
 
     Each round tests the next _CANDIDATES values of t on every lane still

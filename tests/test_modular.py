@@ -350,9 +350,14 @@ def test_sqrt_mod_equals_lane_sqrt():
     lanes = modular._lane_sqrt(a, p)
     assert lanes.tolist() == [sqrt_mod(x, q) for x, q in
                               zip(a.tolist(), p.tolist())]
-    # some p = 1 (mod 4) lane found no nonresidue t^2 - a in the first
+    # Atkin's p = 5 (mod 8) lanes run no search and give the scalar root
+    atkin = p % 8 == 5
+    assert atkin.sum() > 1000
+    assert lanes[atkin].tolist() == [modular._sqrt_mod(x, q) for x, q in
+                                     zip(a[atkin].tolist(), p[atkin].tolist())]
+    # some p = 1 (mod 8) lane found no nonresidue t^2 - a in the first
     # round of candidates, so the search's retry path ran
-    assert any(q % 4 == 1 and all(
+    assert any(q % 8 == 1 and all(
         pow((t * t - x) % q, (q - 1) // 2, q) != q - 1
         for t in range(1, modular._CANDIDATES + 1))
         for x, q in zip(a.tolist(), p.tolist()))
@@ -361,6 +366,83 @@ def test_sqrt_mod_equals_lane_sqrt():
 # ---------------------------------------------------------------------------
 # batched root tables
 # ---------------------------------------------------------------------------
+
+def _quadratic_with_discriminant(d):
+    """(c, b, a) with b^2 - 4ac = d, for d = 0 or 1 (mod 4)."""
+    return ((-d // 4, 0, 1) if d % 4 == 0 else ((1 - d) // 4, 1, 1))
+
+
+@pytest.mark.parametrize("d", [
+    1, -3, -4, 5, 8, 12, -24,
+    8189, -8192,  # |D| <= _LANES: gathered from a table
+    8193, -8196,  # |D| > _LANES: the lane Kronecker symbol of D mod p
+])
+def test_tabled_symbol_matches_kronecker(d, monkeypatch):
+    symbol = primality._lane_kronecker
+    moduli = []
+
+    def recording_symbol(a, m):
+        moduli.append(m)
+        return symbol(a, m)
+
+    monkeypatch.setattr(primality, "_lane_kronecker", recording_symbol)
+    coeffs = _quadratic_with_discriminant(d)
+    assert coeffs[1] ** 2 - 4 * coeffs[0] * coeffs[2] == d
+    for batch in ([q for q in primes_up_to(10**4) if q >= 5], EDGE_PRIMES):
+        p = modular._lane_array(np.array(batch, dtype=np.int64))
+        rest, lanes, _, split = modular._lane_split(
+            coeffs, [c % p for c in coeffs], p)
+        assert np.flatnonzero(rest).tolist() == \
+            [i for i, q in enumerate(batch) if d % q == 0]
+        assert split.tolist() == \
+            [kronecker(d, q) == 1 for q in np.array(batch)[lanes].tolist()]
+    tabled = [len(m) == abs(d) and m[0] == abs(d) for m in moduli]
+    assert tabled == [abs(d) <= modular._LANES] * 2
+
+
+@pytest.mark.parametrize("c", [
+    1, -1, 2, -2, 12, -12,
+    8191, -8192, 8192,  # |c| <= _LANES: (1 + k p)/|c| from a table
+    8193, -8193,  # |c| > _LANES: a^(p-2) by _lane_pow
+])
+def test_tabled_inverse_matches_pow(c):
+    for batch in ([q for q in primes_up_to(10**4) if q >= 5 and c % q],
+                  EDGE_PRIMES):
+        p = modular._lane_array(np.array(batch, dtype=np.int64))
+        inv = modular._lane_inverse(c, c % p, p)
+        assert inv.dtype == p.dtype
+        assert inv.tolist() == [pow(c, -1, q) for q in batch]
+
+
+@pytest.mark.parametrize("text", [
+    "n^2+n+2053",  # D = -8211: past the symbol table's cap
+    "5000*n^2+1",  # 2a = 10000 and D = -20000: neither table applies
+    "8193*n+5", "9223372036854775807*n-1",  # leads past the inverse table
+])
+def test_root_table_without_tables_matches_list_roots(text):
+    f = parse_polynomial(text)
+    batches = ([q for q in primes_up_to(10**4)], EDGE_PRIMES)
+    for batch in batches:
+        [(p, r)] = _root_table([f], [np.array(batch, dtype=np.int64)])
+        assert list(zip(p.tolist(), r.tolist())) == \
+            [(q, root) for q in batch for root in list_roots(f, q).roots]
+        assert modular._root_counts(f, np.array(batch, dtype=np.int64)
+                                    ).tolist() == \
+            [_root_count(f, q) for q in batch]
+
+
+@pytest.mark.parametrize("text", ["n^3+2", "n^4+1", "6*n^2+1", "2*n+1"])
+def test_root_table_does_not_depend_on_the_order_of_primes(text):
+    f = parse_polynomial(text)
+    # the second batch ends below 2^31, so its dtype comes from its largest
+    for batch in ([2147483659, 2147483693, 2147483869, 4294967291, 2147506201],
+                  [4294967291, 2147483659, 5, 7, 997]):
+        [unsorted] = _root_table([f], [np.array(batch, dtype=np.int64)])
+        [ascending] = _root_table([f], [np.array(sorted(batch),
+                                                 dtype=np.int64)])
+        assert unsorted[0].dtype == unsorted[1].dtype == np.int64
+        assert [a.tolist() for a in unsorted] == \
+            [a.tolist() for a in ascending]
 
 @pytest.mark.parametrize("texts", [
     ("6*n^2+1",), ("n^2+1",), ("n^2-2",), ("3*n^2+n+1",), ("n", "2*n+1"),
@@ -527,6 +609,18 @@ def test_lane_g1_raises_when_a_lane_is_corrupted(monkeypatch, name, fault,
             modular._root_counts(f, p)
         with pytest.raises(ArithmeticError, match=match):
             _root_table([f], [p])
+
+
+@pytest.mark.parametrize("text", ["2*n+1", "6*n^2+1"])
+def test_root_table_raises_when_the_tabled_inverse_is_shifted(monkeypatch,
+                                                               text):
+    # the inverse of the lead, or of 2a, off by one: caught by f(r) = 0
+    monkeypatch.setattr(modular, *_corrupt(
+        "_lane_inverse", lambda out, c, a, p: (out + 1) % p))
+    for batch in FAULT_BATCHES:
+        with pytest.raises(ArithmeticError, match=r"f\(r\) = 0"):
+            _root_table([parse_polynomial(text)],
+                        [np.array(batch, dtype=np.int64)])
 
 
 @pytest.mark.parametrize("fault,match", [
