@@ -2,10 +2,11 @@
 
 Polynomials are lists of residues in ascending degree order; [] is the zero
 polynomial.  Only what root counting, root listing and mod-p irreducibility
-certificates need: difference, product, remainder, quotient, gcd, modular
-exponentiation and distinct_degree, the one chain x^(p^k) mod f, which
-gives both the roots and irreducibility.  Everything is O(d^2) per
-multiplication, fine for the small degrees used here.
+certificates need: difference, product, division (div, which gives the
+quotient and the remainder at once), gcd, modular exponentiation and
+distinct_degree, the one chain x^(p^k) mod f, which gives both the roots and
+irreducibility.  Everything is O(d^2) per multiplication, fine for the small
+degrees used here.
 """
 
 from __future__ import annotations
@@ -40,42 +41,25 @@ def mul(a: list[int], b: list[int], p: int) -> list[int]:
     return trim(out)
 
 
-def mod(a: list[int], m: list[int], p: int) -> list[int]:
-    """Remainder of a divided by m (m nonzero)."""
-    a = [c % p for c in a]
-    trim(a)
-    dm = degree(m)
-    inv_lead = pow(m[-1], p - 2, p)
-    while degree(a) >= dm:
-        k = degree(a) - dm
-        factor = a[-1] * inv_lead % p
-        for i, c in enumerate(m):
-            a[i + k] = (a[i + k] - factor * c) % p
-        trim(a)
-    return a
-
-
-def quo(a: list[int], m: list[int], p: int) -> list[int]:
-    """Quotient of a divided by m (m nonzero)."""
-    a = [c % p for c in a]
-    trim(a)
+def div(a: list[int], m: list[int], p: int) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of a divided by m (m nonzero)."""
+    a = trim([c % p for c in a])
     dm = degree(m)
     inv_lead = pow(m[-1], p - 2, p)
     q = [0] * max(0, degree(a) - dm + 1)
     while degree(a) >= dm:
         k = degree(a) - dm
-        factor = a[-1] * inv_lead % p
-        q[k] = factor
+        q[k] = factor = a[-1] * inv_lead % p
         for i, c in enumerate(m):
             a[i + k] = (a[i + k] - factor * c) % p
         trim(a)
-    return trim(q)
+    return trim(q), a
 
 
 def gcd(a: list[int], b: list[int], p: int) -> list[int]:
     a, b = trim([c % p for c in a]), trim([c % p for c in b])
     while b:
-        a, b = b, mod(a, b, p)
+        a, b = b, div(a, b, p)[1]
     if not a:
         return a
     inv = pow(a[-1], p - 2, p)
@@ -85,11 +69,11 @@ def gcd(a: list[int], b: list[int], p: int) -> list[int]:
 def pow_mod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
     """base^e mod (m, p) by square and multiply."""
     result = [1]
-    base = mod(base, m, p)
+    base = div(base, m, p)[1]
     while e:
         if e & 1:
-            result = mod(mul(result, base, p), m, p)
-        base = mod(mul(base, base, p), m, p)
+            result = div(mul(result, base, p), m, p)[1]
+        base = div(mul(base, base, p), m, p)[1]
         e >>= 1
     return result
 
@@ -108,7 +92,7 @@ def distinct_degree(f: list[int], p: int
         g = gcd(sub(h, [0, 1], p), rest, p)
         yield k, g
         if degree(g) > 0:
-            rest = quo(rest, g, p)  # h stays x^(p^k) mod rest
+            rest = div(rest, g, p)[0]  # h stays x^(p^k) mod rest
         k += 1
     if degree(rest) > 0:
         yield degree(rest), rest

@@ -8,7 +8,8 @@ roots: the (p+1)/4 exponent for p = 3 (mod 4), Atkin's formula for p = 5
 (mod 8), else Cipolla's method).
 Higher degrees take g_1 = gcd(x^p - x, f) over GF(p), the first step of
 _gfpoly.distinct_degree: its degree is the count, and equal-degree
-splitting of it lists the roots (small p are brute-forced instead).
+splitting of it lists the roots at every p > 3.  At p <= 3 the residues
+are scanned.
 kronecker is imported from primality, whose Lucas test needs it too.
 
 _root_table and _root_counts, the root lists and counts for a whole array
@@ -41,10 +42,9 @@ import numpy as np
 
 from . import _gfpoly, primality
 from .errors import IdenticallyZeroError, NotPrimeError
-from .poly import Polynomial
+from .poly import Polynomial, _eval_exact
 from .primality import kronecker
 
-_BRUTE_FORCE_LIMIT = 4096
 _LANES = 1 << 13  # primes per batch of _root_table and the Euler product
 _LANE_LIMIT = 1 << 31  # int64 lanes below it, products below 2^62
 _G1_LANES = 1 << 11  # primes per sub-batch of _lane_g1
@@ -114,7 +114,8 @@ def count_roots(f: Polynomial, p: int) -> RootSet:
 
 
 def _root_count(f: Polynomial, p: int) -> int:
-    """omega_f(p) for prime p (no primality re-check)."""
+    """omega_f(p) for prime p (no primality re-check): the degree 1 and 2
+    formulas where they apply, else deg g_1."""
     if f.degree == 1:
         b, a = f.coeffs
         if a % p:
@@ -125,7 +126,11 @@ def _root_count(f: Polynomial, p: int) -> int:
         disc = b * b - 4 * a * c
         if (2 * a * disc) % p != 0:
             return 1 + kronecker(disc, p)
-    return _root_count_gcd(f, p)
+    fbar = _reduce(f, p)
+    if not fbar:
+        return p  # vanishes identically
+    # deg g_1; a nonzero constant has no chain step, so its g_1 is [1]
+    return _gfpoly.degree(next(_gfpoly.distinct_degree(fbar, p), (1, [1]))[1])
 
 
 def _root_counts(f: Polynomial, p: np.ndarray) -> np.ndarray:
@@ -157,22 +162,13 @@ def _root_counts(f: Polynomial, p: np.ndarray) -> np.ndarray:
     return omega
 
 
-def _root_count_gcd(f: Polynomial, p: int) -> int:
-    """omega_f(p) by deg gcd(x^p - x, f) over GF(p), no shortcuts; a nonzero
-    constant reduction has no chain step, so its g_1 is [1]."""
-    fbar = _reduce(f, p)
-    if not fbar:
-        return p  # vanishes identically
-    return _gfpoly.degree(next(_gfpoly.distinct_degree(fbar, p), (1, [1]))[1])
-
-
 def list_roots(f: Polynomial, p: int) -> RootSet:
     """All solutions of f(n) = 0 (mod p), materialized and sorted.
 
-    Degrees 1 and 2 are solved by formula at every p (inverse, respectively
-    sqrt_mod of the discriminant).  Higher degrees brute-force the
-    residues for p <= 4096 and above that split g_1 = gcd(x^p - x, f), the
-    first step of the distinct-degree chain, into its linear factors.
+    p <= 3 scans its residues.  At p > 3, degrees 1 and 2 are solved by
+    formula (inverse, respectively sqrt_mod of the discriminant), and higher
+    degrees split g_1 = gcd(x^p - x, f), the first step of the
+    distinct-degree chain, into its linear factors.
     """
     _require_prime(p)
     fbar = _reduce(f, p)
@@ -184,11 +180,11 @@ def list_roots(f: Polynomial, p: int) -> RootSet:
 
 
 def _roots_of_reduced(fbar: list[int], p: int) -> list[int]:
+    if p <= 3 or not fbar:  # a zero fbar has every residue as a root
+        return [r for r in range(p) if _eval_exact(fbar, r) % p == 0]
     d = _gfpoly.degree(fbar)
     if d == 0:
         return []
-    if p == 2 or (d <= 2 and p == 3):
-        return _brute_force_roots(fbar, p)
     if d == 1:
         b, a = fbar
         return [(-b) * pow(a, p - 2, p) % p]
@@ -202,17 +198,7 @@ def _roots_of_reduced(fbar: list[int], p: int) -> list[int]:
         if s is None:
             return []
         return [(-b + s) * inv2a % p, (-b - s) * inv2a % p]
-    if p <= _BRUTE_FORCE_LIMIT:
-        return _brute_force_roots(fbar, p)
     return _split_linear_product(next(_gfpoly.distinct_degree(fbar, p))[1], p)
-
-
-def _brute_force_roots(fbar: list[int], p: int) -> list[int]:
-    n = np.arange(p, dtype=np.int64)
-    acc = np.zeros(p, dtype=np.int64)
-    for c in reversed(fbar):
-        acc = (acc * n + c) % p
-    return [int(r) for r in np.flatnonzero(acc == 0)]
 
 
 def _split_linear_product(g: list[int], p: int) -> list[int]:
@@ -229,7 +215,7 @@ def _split_linear_product(g: list[int], p: int) -> list[int]:
         h = _gfpoly.pow_mod([shift, 1], (p - 1) // 2, g, p)
         part = _gfpoly.gcd(_gfpoly.sub(h, [1], p), g, p)
         if 0 < _gfpoly.degree(part) < d:
-            rest = _gfpoly.quo(g, part, p)
+            rest = _gfpoly.div(g, part, p)[0]
             return _split_linear_product(part, p) + \
                 _split_linear_product(rest, p)
     raise ArithmeticError(f"no shift below {p} splits {g} into linears")

@@ -64,7 +64,7 @@ GOLDEN = [
      "10000,520\n"
      "100000,4059\n"
      "# certainty: deterministic\n"),
-    # degree 4: at the primes 4096 < p <= 5000 of the pre-sieve the roots
+    # degree 4: at the primes 3 < p <= 5000 of the pre-sieve the roots
     # come from g_1 = gcd(x^p - x, f), the GF(p) chain's first step
     (("count", "--poly", "n^4+n+1", "--x", "1e4", "--presieve", "5000",
       "--workers", "1", "--format", "csv"),

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -17,8 +18,8 @@ from batemanhorn import (
     simple_sieve,
     sqrt_mod,
 )
-from batemanhorn import modular, primality
-from batemanhorn.modular import _root_count, _root_count_gcd, _root_table
+from batemanhorn import _gfpoly, modular, primality
+from batemanhorn.modular import _root_count, _root_table
 from batemanhorn.poly import _inadmissibility_witness
 from batemanhorn.primality import _lane_kronecker, _prime_segments
 
@@ -191,8 +192,8 @@ def test_count_roots_brute_force_500_polys():
 
 
 def test_quadratic_fast_path_matches_gcd_method():
-    # the discriminant formula omega = 1 + (D|p) against the generic gcd
-    # route, for every 3 < p <= 10^4 not dividing 2aD
+    # the discriminant formula omega = 1 + (D|p) against deg g_1 from the
+    # GF(p) chain, for every 3 < p <= 10^4 not dividing 2aD
     rng = random.Random(77)
     primes = [int(q) for q in np.flatnonzero(simple_sieve(10**4))]
     for _ in range(12):
@@ -203,8 +204,8 @@ def test_quadratic_fast_path_matches_gcd_method():
         for p in primes:
             if p <= 3 or (2 * a * disc) % p == 0:
                 continue
-            assert 1 + kronecker(disc, p) == _root_count_gcd(f, p), \
-                (f.coeffs, p)
+            g1 = next(_gfpoly.distinct_degree([c % p for c in f.coeffs], p))[1]
+            assert 1 + kronecker(disc, p) == _gfpoly.degree(g1), (f.coeffs, p)
 
 
 # ---------------------------------------------------------------------------
@@ -273,21 +274,35 @@ def test_list_roots_trivial_example():
 
 
 @pytest.mark.parametrize("text", ["n^3+2", "n^3-3*n+1", "n^4+3*n+7"])
-def test_list_roots_brute_force_around_4096(text):
-    # primes on both sides of the switch from residue scan to splitting
+def test_list_roots_brute_force_below_4400(text):
+    # every prime: the residue scan at p <= 3, the split of g_1 above
     f = parse_polynomial(text)
-    primes = [int(q) for q in np.flatnonzero(simple_sieve(4400))
-              if q >= 3800]
     split = 0
-    for p in primes:
-        n = np.arange(p, dtype=np.int64)
-        acc = np.zeros(p, dtype=np.int64)
-        for c in reversed(f.coeffs):
-            acc = (acc * n + c) % p
-        expected = tuple(int(r) for r in np.flatnonzero(acc == 0))
+    for p in primes_up_to(4400):
+        expected = tuple(brute_force_roots(f.coeffs, p))
         assert list_roots(f, p).roots == expected, p
         split += len(expected) >= 2
     assert split > 0
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_list_and_count_roots_scan_small_primes(p):
+    # every coefficient tuple over [0, p) of degree 1-4 with a nonzero lead,
+    # and the same tuple with p added to the lead, which the reduction drops
+    for d in range(1, 5):
+        for coeffs in itertools.product(range(p), repeat=d + 1):
+            if coeffs[-1] == 0:
+                continue
+            for lead in (coeffs[-1], coeffs[-1] + p):
+                f = Polynomial(coeffs[:-1] + (lead,))
+                if all(c % p == 0 for c in f.coeffs):
+                    with pytest.raises(IdenticallyZeroError):
+                        list_roots(f, p)
+                    assert count_roots(f, p).omega == p
+                    continue
+                roots = list_roots(f, p).roots
+                assert list(roots) == brute_force_roots(f.coeffs, p), f
+                assert count_roots(f, p).omega == len(roots), f
 
 
 def test_union_bound_on_products():
@@ -449,7 +464,7 @@ def test_root_table_does_not_depend_on_the_order_of_primes(text):
     ("n^2+n+41", "2*n+1"),
     ("720720*n^2+1",),  # a leading coefficient with many divisors
     ("9223372036854775807*n^2-9223372036854775806*n+9223372036854775805",),
-    ("n^3+2",),  # g_1 in lanes; 1,559 lanes split it by the scalar path
+    ("n^3+2",),  # g_1 in lanes; 1,559 lanes split it in lanes too
     ("30*n^3+7",),  # p | 30 is scalar; a triple root mod 7 in lanes
 ])
 def test_root_table_matches_list_roots_below_1e5(texts):
@@ -651,6 +666,9 @@ def test_root_table_raises_when_a_split_is_corrupted(monkeypatch, fault,
 @pytest.mark.parametrize("text", [
     "n^3+2", "n^3-3*n+1", "n^4+1",
     "n^6+n^5+n^4+n^3+n^2+n+1",  # 6 roots at p = 1 (mod 7): the split recurses
+    # 20495 = 5 * 4099: at both primes the lead vanishes, and the cubic
+    # left takes the scalar chain
+    "20495*n^4+n^3+2",
 ])
 def test_lane_split_against_brute_force_and_list_roots(text):
     f = parse_polynomial(text)
@@ -660,7 +678,8 @@ def test_lane_split_against_brute_force_and_list_roots(text):
          for root in brute_force_roots(f.coeffs, q)]
     assert max(np.bincount(p)) == f.degree  # some lanes split all the way
     # object lanes, where list_roots, which no longer shares the lane
-    # split, is the oracle; every f splits completely mod 2147506201
+    # split, is the oracle; every f but the last splits completely mod
+    # 2147506201
     for batch in (EDGE_PRIMES, sorted(FAULT_BATCHES[1] + [2147506201])):
         [(p, r)] = _root_table([f], [np.array(batch, dtype=np.int64)])
         assert list(zip(p.tolist(), r.tolist())) == \
