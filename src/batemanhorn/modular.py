@@ -16,20 +16,19 @@ _root_table and _root_counts, the root lists and counts for a whole array
 of primes, solve every prime p > 3 that does not divide the leading
 coefficient in numpy lanes, int64 below 2^31 and exact Python ints above
 (_lane_array), and hand the rest to the scalar path.  Degree 1 and 2 lanes
-use the formulas above and the same square root (_lane_sqrt).  With integer
-coefficients, (D|p) and the inverse of a lead or of 2a come from tables of
-at most _LANES entries, gathered at p mod |D| or |c|; larger ones take
-binary reciprocity (primality._lane_kronecker) and a power.  Degree >= 3
-lanes get g_1 from _lane_g1, x^p mod f by square-and-multiply and a lane
-gcd: its degree is omega, and _lane_linear_roots lists its roots, splitting
-a g_1 of degree >= 3 by Cantor-Zassenhaus in the same lanes down to the
-degree 1 and 2 formulas.  On a 2-core Xeon, CPython 3.11, numpy 2.4: the
-root table of 6n^2+1 at B = 2,449,490 takes 0.19 s (0.28 s by reciprocity
-and a power at every prime), the naive constant of n^2-2 at 10^7 0.10 s
-(0.14 s by reciprocity, 0.37 s by Euler's criterion), and of n^3+2 at 3e5
-0.13 s (2.4 s scalar); the root table of n^3+2 at B = 10^5 takes 0.10 s
-(0.45 s with a scalar split of g_1 at the 1,559 primes with three roots,
-1.19 s all scalar).
+use the formulas above and the same square root (_lane_sqrt), Cipolla's
+as one Lucas term (_cipolla).  With integer coefficients, (D|p) and the
+inverse of a lead or of 2a come from tables of at most _LANES entries,
+gathered at p mod |D| or |c|; larger ones take binary reciprocity
+(primality._lane_kronecker) and a power.  Degree >= 3 lanes get g_1 from
+_lane_g1, x^p mod f by square-and-multiply and a lane gcd: its degree is
+omega, and _lane_linear_roots lists its roots, reading each linear factor's
+root off, solving each quadratic one by the formula and splitting larger
+ones by Cantor-Zassenhaus in the same lanes.  On a 2-core Xeon,
+CPython 3.11, numpy 2.4: the root table of 6n^2+1 at B = 2,449,490 takes
+0.19 s, the naive constant of n^2-2 at 10^7 0.10 s and of n^3+2 at 3e5
+0.13 s, all with the tables above; the root table of n^3+2 at B = 10^5
+takes 0.10 s, as g_1 and its split both run in lanes.
 """
 
 from __future__ import annotations
@@ -83,8 +82,8 @@ def _sqrt_mod(a: int, p: int) -> int | None:
     with b = (2a)^((p-5)/8), as 2ab^2 is a root of -1 (Atkin 1992; Mueller,
     Des. Codes Cryptogr. 31, 2004); else Cipolla's method with the first
     t = 1, 2, ... for which w = t^2 - a is a nonresidue: the root is
-    (t + sqrt(w))^((p+1)/2) in GF(p)[X]/(X^2 - w).  _lane_sqrt runs the same
-    steps in numpy lanes and returns the same root.
+    (t + sqrt(w))^((p+1)/2) in GF(p)[X]/(X^2 - w).  _lane_sqrt gives the
+    same root in numpy lanes, with that power as a Lucas term (_cipolla).
     """
     a %= p
     if a == 0:
@@ -283,7 +282,8 @@ def _lane_roots(coeffs: Sequence, p: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Roots of a polynomial modulo each prime p > 3 of a _lane_array.
 
-    coeffs are ints, or arrays of p's dtype with one value per lane.
+    coeffs are ints, except that a quadratic factor's c and b may be
+    arrays of p's dtype with one value per lane (_lane_linear_roots).
     Returns (q, r) in p's dtype, one entry per root found, and the mask of
     the lanes of p left to the scalar path: p divides the leading
     coefficient or, for degree 2, the discriminant D.  Degree >= 3 takes
@@ -338,7 +338,8 @@ def _lane_linear_roots(g: np.ndarray, deg: np.ndarray, p: np.ndarray
     degree deg < m and a product of distinct linear factors modulo each
     prime p > 3 of a _lane_array: _split_linear_product in lanes.
 
-    Degree 1 and 2 lanes take _lane_roots' formulas.  The others split by
+    A linear factor x + g_0 is read as the root -g_0, and a quadratic one
+    passed on to _lane_roots as (g_0, g_1, 1).  The others split by
     Cantor-Zassenhaus with shifts t = 1, 2, ... shared by every lane: with
     h = (x + t)^((p-1)/2) mod g, once gcd(g, h - 1) has 0 < degree < deg g,
     it and gcd(g, h + 1) replace g, and -t is a root if they miss one.  A
@@ -347,8 +348,9 @@ def _lane_linear_roots(g: np.ndarray, deg: np.ndarray, p: np.ndarray
     """
     out, t = [], 0
     while True:
-        out += [_lane_roots(tuple(g[:k + 1, deg == k]), p[deg == k])[:2]
-                for k in (1, 2)]
+        one, two = deg == 1, deg == 2
+        out += [(p[one], -g[0, one] % p[one]),
+                _lane_roots((g[0, two], g[1, two], 1), p[two])[:2]]
         big = deg > 2
         g, deg, p, t = g[:, big], deg[big], p[big], t + 1
         if not p.size:
@@ -392,7 +394,7 @@ def _lane_split(coeffs: Sequence, red: list[np.ndarray], p: np.ndarray
     lanes = np.flatnonzero(~rest)
     q, disc = p[lanes], disc[lanes]
     c, b, a = coeffs
-    d = b * b - 4 * a * c if isinstance(a, int) else 0
+    d = b * b - 4 * a * c if isinstance(c, int) else 0
     if 0 < (m := abs(d)) <= _LANES:  # costs at most one batch of symbols
         sym = primality._lane_kronecker(d, np.arange(m, 2 * m))[
             (q % m).astype(np.int64)]
@@ -415,13 +417,12 @@ def _lane_pow(base: np.ndarray, exp: np.ndarray, p: np.ndarray) -> np.ndarray:
         base = base * base % p
 
 
-def _lane_inverse(c, a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """1/a mod each prime p of a _lane_array, for a = c mod p a unit: for
-    an integer 0 < |c| <= _LANES, (1 + k p)/|c|, negated if c < 0, with
-    k = -1/p mod |c| read at p % |c| from a table of the r^(phi(|c|) - 1);
-    else a^(p-2) by _lane_pow."""
-    m = abs(c) if isinstance(c, int) else 0
-    if not 0 < m <= _LANES:
+def _lane_inverse(c: int, a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """1/a mod each prime p of a _lane_array, for a = c mod p a unit and c
+    a nonzero integer: for |c| <= _LANES, (1 + k p)/|c|, negated if c < 0,
+    with k = -1/p mod |c| read at p % |c| from a table of the
+    r^(phi(|c|) - 1); else a^(p-2) by _lane_pow."""
+    if (m := abs(c)) > _LANES:
         return _lane_pow(a, p - 2, p)
     r = np.arange(m)
     phi = np.count_nonzero(np.gcd(r, m) == 1)
@@ -543,8 +544,8 @@ def _lane_degree(a: np.ndarray) -> np.ndarray:
 
 
 def _lane_sqrt(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """A square root of each quadratic residue a modulo odd prime p, by
-    _sqrt_mod's steps (_cipolla's when p = 1 (mod 8)) and so its root."""
+    """A square root of each quadratic residue a modulo odd prime p: by
+    _sqrt_mod's steps (in _cipolla when p = 1 (mod 8)), so its root."""
     s = np.empty_like(p)
     easy = p % 4 == 3
     s[easy] = _lane_pow(a[easy], (p[easy] + 1) // 4, p[easy])
@@ -564,6 +565,9 @@ def _cipolla(a: np.ndarray, p: np.ndarray) -> np.ndarray:
     Each round tests the next _CANDIDATES values of t on every lane still
     searching, in one flattened _lane_kronecker; a lane keeps its first -1.
     Half of all t qualify, so a round leaves about 1/16 of the lanes.
+    The root (t + sqrt(t^2 - a))^k, k = (p+1)/2, lies in GF(p), so it is
+    V_k / 2 for the Lucas sequence V of x^2 - 2tx + a (Mueller 2004): one
+    ladder on (V_m, V_m+1, a^m) from (2, 2t, 1).
     """
     t = np.zeros_like(p)
     todo = np.arange(p.size)
@@ -578,14 +582,13 @@ def _cipolla(a: np.ndarray, p: np.ndarray) -> np.ndarray:
         t[todo[found]] = cand[hit.argmax(axis=0)[found], 0]
         todo = todo[~found]
         first += _CANDIDATES
-    w = (t * t - a) % p
-    x, y = np.ones_like(p), np.zeros_like(p)  # the power so far, x + y sqrt(w)
-    bx, by = t % p, np.ones_like(p)  # the base, squared each step
-    exp = (p + 1) // 2
-    while exp.any():
-        odd = (exp & 1) == 1
-        x, y = (np.where(odd, (x * bx % p + y * by % p * w) % p, x),
-                np.where(odd, (x * by % p + y * bx % p) % p, y))
-        bx, by = (bx * bx % p + by * by % p * w) % p, bx * by % p * 2 % p
-        exp >>= 1
-    return x
+    k, two_t = (p + 1) >> 1, 2 * t % p
+    v0, v1, w = np.full_like(p, 2), two_t, np.ones_like(p)  # m = 0
+    for bit in reversed(range(int(k.max(initial=0)).bit_length())):
+        odd = (k >> bit) & 1 == 1
+        mid = (v0 * v1 - two_t * w) % p  # V_2m+1
+        wq = np.where(odd, w * a % p, w)  # a^(m+1) if the bit is set
+        edge = (np.where(odd, v1, v0) ** 2 - 2 * wq) % p  # V_2m or V_2m+2
+        v0, v1 = np.where(odd, mid, edge), np.where(odd, edge, mid)
+        w = w * wq % p
+    return (v0 + (v0 & 1) * p) >> 1

@@ -365,9 +365,7 @@ def _inadmissibility_witness(product: Polynomial) -> int | None:
             if all(_eval_exact(residues, n) % p == 0 for n in range(p)):
                 return p
         p += 1
-    content = 0
-    for c in product.coeffs:
-        content = math.gcd(content, c)
+    content = math.gcd(*product.coeffs)
     if content > 1:
         return min(primality.factorize(content))
     return None

@@ -269,6 +269,14 @@ def test_split_linear_product_raises_without_linear_factors(
     assert len(powers) <= min(p - 1, 8)
 
 
+@pytest.mark.parametrize("p", [7, 13])  # -2 is no cube mod 7 or 13
+def test_lane_split_raises_without_linear_factors(p):
+    g = np.array([[2], [0], [0], [1]], dtype=np.int64)  # x^3 + 2
+    with pytest.raises(ArithmeticError, match="no shift t < p"):
+        modular._lane_linear_roots(g, np.array([3]),
+                                   np.array([p], dtype=np.int64))
+
+
 def test_list_roots_trivial_example():
     assert list_roots(parse_polynomial("2*n+1"), 7).roots == (3,)
 
@@ -376,6 +384,21 @@ def test_sqrt_mod_equals_lane_sqrt():
         pow((t * t - x) % q, (q - 1) // 2, q) != q - 1
         for t in range(1, modular._CANDIDATES + 1))
         for x, q in zip(a.tolist(), p.tolist()))
+    # object lanes: primes = 1 and = 5 (mod 8) just above 2^31 and the last
+    # edge prime (= 1 (mod 8)); the two batches after them have no
+    # p = 1 (mod 8) lane, so _cipolla gets empty arrays
+    for batch in ([2147483713, 2147483777, 2147483693, 2147483813,
+                   EDGE_PRIMES[-1]],
+                  [q for q in primes_up_to(10**4) if q >= 5 and q % 8 != 1],
+                  [2147483659, 2147483693, 2147483813]):
+        primes = [q for q in batch for _ in range(16)]
+        p = modular._lane_array(np.array(primes, dtype=np.int64))
+        a = np.array([pow(rng.randrange(1, q), 2, q) for q in primes],
+                     dtype=p.dtype)
+        lanes = modular._lane_sqrt(a, p)
+        assert lanes.dtype == p.dtype
+        assert lanes.tolist() == [sqrt_mod(x, q) for x, q in
+                                  zip(a.tolist(), primes)]
 
 
 # ---------------------------------------------------------------------------
