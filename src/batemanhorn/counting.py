@@ -10,11 +10,15 @@ short-circuiting on the first composite.  The direct range [1, n_star] is
 the first chunks of the same chunk list, run with no table and B = 0, so
 every value there is tested.
 Survivors are triaged 2^12 at a time, their values coming from one array
-evaluation per f_i: in int64 lanes where Horner is exact there, that is
-when sum_i |c_i| hi^i < 2^63 for every f_i on the segment [lo, hi], and
-past that limit in object arrays of Python ints.  Those with a value below
-2 fail, those with every value in [2, (B+1)^2) qualify, and only the rest
-are tested, one n at a time.
+evaluation per f_i: in int64 lanes where Horner is exact for the block,
+that is when sum_i |c_i| m^i < 2^63 for every f_i at the block's last n =
+m, and past that limit in object arrays of Python ints.  Those with a value
+below 2 fail, those with every value in [2, (B+1)^2) qualify, and only the
+rest are tested.  An int64 block whose values all lie below
+primality.LANE_BPSW_LIMIT (2^62 with an x87 long double) is tested in
+numpy lanes by primality._lane_bpsw: f_1 on every lane left, then f_2 on
+those that pass, and so on.  Any other block goes one n at a time through
+_admit and classify, where the probable verdicts and the 128-bit guard are.
 B = min(presieve_bound, isqrt(max_i f_i(x)) + 1): a larger bound would mark
 no composite value that a smaller prime misses.
 
@@ -28,8 +32,9 @@ prime, which the degrees decide.  Measured on a 2-core Xeon, CPython 3.11,
 numpy 2.4: degrees 1 and 2 are solved in numpy lanes at about 1.1 us a
 prime, as (D|p) and small inverses are read from tables.  A cubic's table
 costs about 10 us a prime (0.10 s for n^3+2 at B = 10^5), as g_1 =
-gcd(x^p - x, f) and its split both run in lanes.  A Baillie-PSW
-test of a prime value near 6e12 costs about 25 us, near 2^64 about 45 us.
+gcd(x^p - x, f) and its split both run in lanes.  A Baillie-PSW test of a
+prime value costs about 27 us near 6e12 and 40 us near 2^61 one at a time,
+3.6 and 5.4 us in blocks of 4096 lanes, and 45 us near 2^64, past the lanes.
 So when every f_i has degree <= 2, B is capped only at 2^25: pi(2^25) =
 2,063,689 primes cost about 2 s and 16 MB for one quadratic, and the cap
 covers the full bound of `reproduce 2 --cap 1e7` (isqrt(6e14) + 1 =
@@ -93,12 +98,20 @@ class EngineConfig:
 
 
 def resolve_workers(config: EngineConfig) -> int:
+    """config.workers, else a BH_WORKERS integer >= 1, else the cpu count;
+    any other BH_WORKERS value raises ValueError."""
     if config.workers is not None:
         return config.workers
     env = os.environ.get("BH_WORKERS", "").strip()
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"BH_WORKERS must be an integer >= 1, got {env!r}")
+    return workers
 
 
 def count_series(system: PolySystem, checkpoints: Sequence[int],
@@ -175,9 +188,10 @@ def _process_chunk_state(state, bounds: tuple[int, int]
     state is (coefficients, root table of every prime <= B, B, n_star).  A
     segment with hi <= n_star is not sieved and every value in it is tested.
     The survivors are triaged in blocks (module docstring), as int64 lanes
-    when sum_i |c_i| hi^i < 2^63 for every f_i and as Python ints
-    otherwise; only those with some value >= (B+1)^2 reach _admit, in
-    order, with their values computed.
+    when sum_i |c_i| m^i < 2^63 for every f_i at the block's last n = m and
+    as Python ints otherwise.  Only the values >= (B+1)^2 are tested: in
+    lanes by _lane_bpsw when the block is int64 and below its limit, else
+    by _admit, one survivor at a time and in order.
     Returns the qualified n, ascending (8 bytes each in an int64 array,
     not a list of ints), and the first of them that a probable verdict
     admitted (None if none did).
@@ -188,18 +202,25 @@ def _process_chunk_state(state, bounds: tuple[int, int]
         table, bound = [], 0
     proved = (bound + 1) ** 2
     alive = np.flatnonzero(_sieve_segment(table, lo, hi - lo + 1))
-    exact = all(_eval_exact([abs(c) for c in coeffs], hi) <= I64_MAX
-                for coeffs in coeffs_list)
+    abs_coeffs = [[abs(c) for c in coeffs] for coeffs in coeffs_list]
     qualified, probable = array("q"), None
     for k in range(0, alive.size, _TRIAGE_BLOCK):
         n = alive[k:k + _TRIAGE_BLOCK] + lo
+        exact = all(_eval_exact(c, int(n[-1])) <= I64_MAX for c in abs_coeffs)
         m = n if exact else n.astype(object)
         values = np.array([_eval_exact(coeffs, m) for coeffs in coeffs_list])
         keep = (values >= 2).all(axis=0)
-        for j in np.flatnonzero((values >= proved).any(axis=0)).tolist():
-            keep[j], uncertain = _admit(n[j], values[:, j].tolist(), proved)
-            if keep[j] and uncertain and probable is None:
-                probable = int(n[j])
+        if exact and values.max() < primality.LANE_BPSW_LIMIT:
+            for row in values:
+                lanes = np.flatnonzero(keep & (row >= proved))
+                if lanes.size:
+                    keep[lanes] = primality._lane_bpsw(row[lanes])
+        else:
+            for j in np.flatnonzero((values >= proved).any(axis=0)).tolist():
+                keep[j], uncertain = _admit(n[j], values[:, j].tolist(),
+                                            proved)
+                if keep[j] and uncertain and probable is None:
+                    probable = int(n[j])
         qualified.frombytes(n[keep].tobytes())
     return qualified, probable
 

@@ -10,10 +10,21 @@ and whose ladder runs on the equivalent Q = 1 sequence of alpha / beta, two
 products a bit.  Prime verdicts are tagged 'probable' at or above 2^64.
 Composite verdicts are always certain: a failed Miller-Rabin or Lucas test
 or a found factor is a proof.
+
+_lane_bpsw takes the same decisions for a whole int64 array of values below
+LANE_BPSW_LIMIT = 2^min(62, nmant - 1), nmant from np.finfo(np.longdouble)
+(63 for the x87 extended type, so 2^62; 2^51 where long double is a
+double).  Each product a b mod n takes its quotient from long doubles,
+q = trunc(fl(fl(a) fl(b)) / fl(n)), and its remainder a b - q n in wrapping
+int64.  Below the limit a, b and n convert exactly and the computed
+quotient is less than 1 from a b / n, so the remainder lies in (-n, 2n),
+which int64 holds; one +-n fix-up reduces it (_lane_mul proves it).  Selfridge's D is found in rounds of one D for all lanes, with (D|n)
+and 1/Q read from residue tables.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterator, NamedTuple
 
@@ -264,6 +275,168 @@ def classify(v: int) -> PrimalityResult:
 
 def is_prime(v: int) -> bool:
     return classify(v).prime
+
+
+# ---------------------------------------------------------------------------
+# Baillie-PSW in int64 lanes
+# ---------------------------------------------------------------------------
+
+# Below this bound _lane_bpsw's products are exact; see _lane_mul.
+LANE_BPSW_LIMIT = 1 << min(62, np.finfo(np.longdouble).nmant - 1)
+_SMALL_TABLE = np.bincount(_SMALL_PRIMES).astype(bool)  # index v <= 37
+
+
+def _lane_bpsw(v: np.ndarray) -> np.ndarray:
+    """classify(v).prime at each v < LANE_BPSW_LIMIT of an int64 array, by
+    the same steps in numpy lanes: v <= 37 from a table, a gcd with the
+    product of the primes up to 37, a strong base-2 Miller-Rabin round and
+    the strong Lucas test of _strong_lucas.  Every verdict is certain, as
+    the bound is below 2^64."""
+    v = np.asarray(v, dtype=np.int64)
+    if v.max(initial=0) >= LANE_BPSW_LIMIT:
+        raise ValueError("a lane value is not below LANE_BPSW_LIMIT")
+    prime = np.zeros(v.shape, dtype=bool)
+    small = v <= _SMALL_PRIMES[-1]
+    prime[small] = _SMALL_TABLE[np.maximum(v[small], 0)]
+    todo = np.flatnonzero(~small & (np.gcd(v, _SMALL_PRODUCT) == 1))
+    todo = todo[_lane_miller_rabin_2(v[todo])]
+    todo = todo[_lane_strong_lucas(v[todo])]
+    prime[todo] = True
+    return prime
+
+
+def _lane_mul(a: np.ndarray, fa: np.ndarray, b: np.ndarray, fb: np.ndarray,
+              n: np.ndarray, fn: np.ndarray) -> np.ndarray:
+    """a b mod n for int64 residues a, b in [0, n) and n < LANE_BPSW_LIMIT,
+    given fa, fb, fn: a, b, n as np.longdouble.
+
+    q = trunc(fl(fl(fa fb) / fn)) and r = a b - q n in wrapping int64,
+    then one +-n fix-up.  Proof: the long double has p = nmant + 1 >= 53
+    significand bits and n < L = 2^min(62, p - 2), so a, b and n convert
+    exactly, and with t = a b / n < n < L the two roundings give
+    y = t (1 + e), |e| <= 2^(1-p) + 2^(-2p), so |y - t| < L 2^(1-p) (1 +
+    2^-p) <= (1 + 2^-p) / 2 < 1.  As y >= 0, q = floor(y) lies in
+    (t - 2, t + 1), so the true r = n (t - q) lies in (-n, 2n), inside
+    int64 as 2n <= 2^63; the wrapped difference is exact modulo 2^64,
+    hence equal to r.  Adding n if r < 0 or subtracting it if r >= n
+    gives [0, n).
+    """
+    q = (fa * fb / fn).astype(np.int64)
+    r = a * b
+    r -= q * n
+    r += n & (r >> 63)
+    r -= n & ((n - 1 - r) >> 63)
+    return r
+
+
+def _lane_miller_rabin_2(n: np.ndarray) -> np.ndarray:
+    """_miller_rabin(n, (2,)) at each odd n in (37, LANE_BPSW_LIMIT) of an
+    int64 array.  2^d mod n is taken left to right over d's bits, every
+    lane over the longest d (a leading 0 squares 1), and a 1 bit doubles."""
+    d = n - 1
+    s = _trailing_zeros(d)
+    d >>= s
+    fn = n.astype(np.longdouble)
+    x = np.ones_like(n)
+    for j in range(int(d.max(initial=0)).bit_length() - 1, -1, -1):
+        fx = x.astype(np.longdouble)
+        x = _lane_mul(x, fx, x, fx, n, fn)
+        x <<= (d >> j) & 1
+        x -= n & ((n - 1 - x) >> 63)
+    ok = (x == 1) | (x == n - 1)
+    k = np.flatnonzero(~ok)
+    for r in range(1, int(s.max(initial=0))):
+        k = k[s[k] > r]
+        y, m = x[k], n[k]
+        fy = y.astype(np.longdouble)
+        x[k] = y = _lane_mul(y, fy, y, fy, m, fn[k])
+        hit = y == m - 1
+        ok[k[hit]] = True
+        k = k[~hit]
+    return ok
+
+
+def _lane_strong_lucas(n: np.ndarray) -> np.ndarray:
+    """_strong_lucas(n) at each odd n in (37, LANE_BPSW_LIMIT) of an int64
+    array: the Selfridge D of each lane by rounds of one D for all, 1/Q
+    from a residue table, and the same Q = 1 ladder and endgame.  A lane's
+    ladder runs over the longest d from (V'_0, V'_1) = (2, c), which a
+    leading 0 bit keeps."""
+    root = np.rint(np.sqrt(n.astype(float))).astype(np.int64)
+    ok = np.zeros(n.shape, dtype=bool)
+    c = np.full(n.shape, -3, dtype=np.int64)  # -3 marks composite
+    todo = np.flatnonzero(root * root != n)
+    D = 5
+    while todo.size:
+        m = n[todo]
+        jacobi, inverse = _selfridge_tables(D)
+        j = jacobi[m % jacobi.size]
+        found = j == -1
+        c[todo[found]] = _lane_unit_inverse((1 - D) // 4, inverse,
+                                            m[found]) - 2
+        todo = todo[(j == 1) | ((j == 0) & (m == abs(D)))]
+        D = -(D + 2) if D > 0 else -(D - 2)
+    live = np.flatnonzero(c > -3)
+    n, c = n[live], c[live]
+    c += n & (c >> 63)
+    fn = n.astype(np.longdouble)
+
+    k = n + 1
+    s = _trailing_zeros(k)
+    d = k >> s
+    V, W = np.full_like(n, 2), c.copy()
+    for j in range(int(d.max(initial=0)).bit_length() - 1, -1, -1):
+        bit = ((d >> j) & 1).astype(bool)
+        fV, fW = V.astype(np.longdouble), W.astype(np.longdouble)
+        P = _lane_mul(V, fV, W, fW, n, fn) - c
+        P += n & (P >> 63)
+        X = np.where(bit, W, V)
+        fX = X.astype(np.longdouble)
+        S = _lane_mul(X, fX, X, fX, n, fn) - 2
+        S += n & (S >> 63)
+        V, W = np.where(bit, P, S), np.where(bit, S, P)
+
+    hit = (((V == 2) & (W == c))
+           | ((V == n - 2) & (W == (n - c) % n)))
+    k = np.flatnonzero(~hit)
+    for r in range(int(s.max(initial=0)) - 1):
+        k = k[s[k] - 1 > r]
+        zero = V[k] == 0
+        hit[k[zero]] = True
+        k = k[~zero]
+        x, m = V[k], n[k]
+        fx = x.astype(np.longdouble)
+        x = _lane_mul(x, fx, x, fx, m, fn[k]) - 2
+        V[k] = x + (m & (x >> 63))
+    ok[live[hit]] = True
+    return ok
+
+
+@functools.cache
+def _selfridge_tables(D: int) -> tuple[np.ndarray, np.ndarray]:
+    """One Selfridge round's residue tables: (D|n) at n mod 4|D|, its
+    period on odd n > 0, and the k = -1/n mod |Q| of _lane_unit_inverse
+    at n mod |Q|, -1 where gcd(n, Q) > 1, for Q = (1 - D) / 4."""
+    m = 4 * abs(D)
+    jacobi = _lane_kronecker(D, np.arange(m, 2 * m))
+    m = abs(1 - D) // 4
+    inverse = np.array([-pow(b, -1, m) % m if math.gcd(b, m) == 1 else -1
+                        for b in range(m)], dtype=np.int64)
+    return jacobi, inverse
+
+
+def _lane_unit_inverse(q: int, table: np.ndarray, n: np.ndarray
+                       ) -> np.ndarray:
+    """1/q mod each odd n > |q| of an int64 array, or -1 where gcd(q, n)
+    > 1: with n = |q| a + b, (1 + k n) / |q| = k a + (1 + k b) / |q| for
+    k = -1/n mod |q|, which table holds at b; negated if q < 0."""
+    m = abs(q)
+    a, b = np.divmod(n, m)
+    k = table[b]
+    inv = k * a + (1 + k * b) // m
+    inv = inv if q > 0 else n - inv
+    inv[k < 0] = -1
+    return inv
 
 
 # ---------------------------------------------------------------------------

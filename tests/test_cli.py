@@ -218,6 +218,18 @@ def test_bh_workers_env(capsys, monkeypatch):
     assert pools == [(7, 2)]
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "abc", "1.5"])
+def test_bad_bh_workers_exits_4(capsys, monkeypatch, value):
+    # as --workers 0 does, and the message names the variable
+    monkeypatch.setenv("BH_WORKERS", value)
+    code, out, err = run_main(capsys, "count", "--poly", "n", "--x", "100")
+    assert code == 4
+    assert out == ""
+    assert err == f"error: BH_WORKERS must be an integer >= 1, got {value!r}\n"
+    assert run_main(capsys, "count", "--poly", "n", "--x", "100",
+                    "--workers", "0")[0] == 4
+
+
 # ---------------------------------------------------------------------------
 # reproduce
 # ---------------------------------------------------------------------------

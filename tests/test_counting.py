@@ -299,14 +299,21 @@ def test_proof_bound_is_strict(segment_size):
 
 
 def test_classify_never_called_beyond_n_star(monkeypatch):
+    # Both paths are watched: classify one value at a time, _lane_bpsw an
+    # int64 block of them.
     seen = []
-    classify = primality.classify
+    classify, lane_bpsw = primality.classify, primality._lane_bpsw
 
     def counting_classify(v):
-        seen.append(v)
+        seen.append(int(v))
         return classify(v)
 
+    def counting_lane_bpsw(v):
+        seen.extend(v.tolist())
+        return lane_bpsw(v)
+
     monkeypatch.setattr(primality, "classify", counting_classify)
+    monkeypatch.setattr(primality, "_lane_bpsw", counting_lane_bpsw)
     # The default bound is the full isqrt(max f(x)) + 1 for both systems,
     # so the sieve proves every value past n_star.
     for texts, x, expected in ((("n", "2*n+1"), 10**6, 7746),
@@ -316,7 +323,7 @@ def test_classify_never_called_beyond_n_star(monkeypatch):
         n_star = threshold_cutoff(s, math.isqrt(top) + 1)
         seen.clear()
         assert counts(s, [x]) == [expected]
-        assert seen
+        assert seen  # the direct range [1, n_star] gets verdicts
         assert max(seen) <= max(evaluate(f, n_star) for f in s.polys)
 
 
@@ -428,6 +435,73 @@ def test_triage_matches_brute_force_at_the_int64_limit(texts, limit, width):
         # sympy.isprime: in 91..150 the values are prime at n = 103 and 123,
         # below 2^64, and at n = 145, 148 and 150 above it
         assert got == ([103, 123, 145, 148, 150], 145)
+
+
+def triage_blocks(state, lo, hi):
+    """The survivor blocks of the chunk [lo, hi] as the kernel cuts them."""
+    table = state[1] if hi > state[3] else []
+    alive = np.flatnonzero(counting._sieve_segment(table, lo, hi - lo + 1))
+    return [alive[k:k + counting._TRIAGE_BLOCK] + lo
+            for k in range(0, alive.size, counting._TRIAGE_BLOCK)]
+
+
+LANE_LIMIT = primality.LANE_BPSW_LIMIT
+# n^3 + 2 passes LANE_LIMIT = 2^62 past n = 1664510; 6n^2 + 1 past
+# n = 876706528.
+LANE_EDGES = [(("n^3+2",), 1664510), (("6*n^2+1",), 876706528)]
+
+
+@pytest.mark.skipif(LANE_LIMIT != 2**62,
+                    reason="the edges are those of the x87 limit 2^62")
+@pytest.mark.parametrize("texts,edge", LANE_EDGES)
+def test_triage_matches_brute_force_at_the_lane_limit(monkeypatch, texts,
+                                                      edge):
+    # One survivor block straddles the limit and takes _admit; the blocks
+    # wholly below it are tested in int64 lanes, never above it.
+    s = system(*texts)
+    f = s.polys[0]
+    assert evaluate(f, edge) < LANE_LIMIT <= evaluate(f, edge + 1)
+    state = kernel_state(s, 10**5)
+    lo, hi = edge - 2**16 + 1, edge + 2**16
+    blocks = triage_blocks(state, lo, hi)
+    assert any(evaluate(f, int(b[0])) < LANE_LIMIT <= evaluate(f, int(b[-1]))
+               for b in blocks)
+    tested = []
+    lane_bpsw = primality._lane_bpsw
+
+    def spy(v):
+        tested.extend(v.tolist())
+        return lane_bpsw(v)
+
+    monkeypatch.setattr(primality, "_lane_bpsw", spy)
+    assert kernel_chunk(state, lo, hi) == brute_force_chunk(s, lo, hi)
+    assert tested and max(tested) < LANE_LIMIT
+
+
+def test_triage_matches_brute_force_across_the_cubic_int64_limit():
+    # n^3 + 2 leaves int64 past n = 2^21 - 1; exactness is decided per
+    # block, at the block's last n, and one block straddles that n
+    s = system("n^3+2")
+    state = kernel_state(s, 10**5)
+    lo, hi = 2**21 - 3 * 2**15, 2**21 + 2**15
+    blocks = triage_blocks(state, lo, hi)
+    assert len(blocks) == 3 and blocks[1][0] < 2**21 <= blocks[1][-1]
+    assert kernel_chunk(state, lo, hi) == brute_force_chunk(s, lo, hi)
+
+
+def test_triage_of_values_below_minus_2_63_in_the_direct_range():
+    # f = 2^35 n^2 - 2^55 n + 1 = 2^35 n (n - 2^20) + 1 falls below -2^63
+    # and climbs to about 3.6e18 < LANE_LIMIT in one block of the direct
+    # range: an object block, since sum_i |c_i| n^i passes 2^63, so _admit
+    # decides it and no value is cast to int64.
+    s = system("n", "2^35*n^2-2^55*n+1")
+    f = s.polys[1]
+    lo, hi = 2**20 - 300, 2**20 + 100
+    values = [evaluate(f, n) for n in range(lo, hi + 1)]
+    assert min(values) < -2**63 and max(values) < LANE_LIMIT
+    state = (tuple(g.coeffs for g in s.polys), [], 0, 2**21)
+    assert len(triage_blocks(state, lo, hi)) == 1
+    assert kernel_chunk(state, lo, hi) == brute_force_chunk(s, lo, hi)
 
 
 @pytest.mark.parametrize("texts,first", [

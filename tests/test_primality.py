@@ -13,6 +13,7 @@ from batemanhorn import (
     primes_up_to,
     simple_sieve,
 )
+from batemanhorn import primality
 from batemanhorn.primality import _miller_rabin, _strong_lucas
 
 
@@ -273,3 +274,99 @@ def test_classify_against_sympy_in_every_tier():
 def test_large_mersenne_values():
     assert classify(2**127 - 1) == (True, PROBABLE)
     assert not classify(2**101 - 1).prime
+
+
+# ---------------------------------------------------------------------------
+# Baillie-PSW in int64 lanes
+# ---------------------------------------------------------------------------
+
+LANE_LIMIT = primality.LANE_BPSW_LIMIT
+# Chernick's Carmichael numbers (6k+1)(12k+1)(18k+1), whose three factors
+# are prime at these k; 41 to 62 bits.
+CHERNICK_K = (1025, 20071, 90096, 130076)
+CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341,
+              41041, 46657, 52633, 62745, 63973,
+              *((6 * k + 1) * (12 * k + 1) * (18 * k + 1) for k in CHERNICK_K))
+
+
+def assert_lane_bpsw_matches(values):
+    """_lane_bpsw on values as one int64 block against classify, and
+    against sympy.isprime when sympy is installed."""
+    values = [v for v in values if v < LANE_LIMIT]
+    got = primality._lane_bpsw(np.array(values, dtype=np.int64))
+    assert got.dtype == bool and got.shape == (len(values),)
+    expected = [classify(v).prime for v in values]
+    assert [v for v, g, e in zip(values, got.tolist(), expected)
+            if g != e] == []
+    try:
+        import sympy
+    except ImportError:
+        return
+    assert [v for v, g in zip(values, got.tolist())
+            if g != sympy.isprime(v)] == []
+
+
+def test_lane_bpsw_limit():
+    # 2^62 where the long double has a 64-bit significand (x87), 2^51
+    # where it is a double
+    nmant = np.finfo(np.longdouble).nmant
+    assert LANE_LIMIT == 2 ** min(62, nmant - 1)
+    with pytest.raises(ValueError, match="LANE_BPSW_LIMIT"):
+        primality._lane_bpsw(np.array([5, LANE_LIMIT], dtype=np.int64))
+
+
+def test_lane_bpsw_below_2_16():
+    assert_lane_bpsw_matches(range(-3, 2**16))
+
+
+def test_lane_bpsw_random_and_just_below_the_limit():
+    rng = random.Random(62)
+    assert_lane_bpsw_matches([rng.randrange(2, LANE_LIMIT)
+                              for _ in range(20_000)])
+    assert_lane_bpsw_matches(range(LANE_LIMIT - 3000, LANE_LIMIT))
+
+
+def test_lane_bpsw_pseudoprimes_and_squares():
+    # base-2 strong pseudoprimes, Selfridge strong Lucas pseudoprimes and
+    # Carmichael numbers are composite; so are the squares of the largest
+    # primes below 2^31 and those of the Wieferich primes 1093 and 3511,
+    # which pass base 2
+    for k in CHERNICK_K:
+        assert all(is_prime(f) for f in (6 * k + 1, 12 * k + 1, 18 * k + 1))
+    base_2 = [psi for psi, _ in STRONG_PSEUDOPRIME_EDGES]
+    assert all(_miller_rabin(v, (2,)) for v in base_2 + [1093**2, 3511**2])
+    below = [p for p in range(2**31 - 1, 2**31 - 400, -2) if is_prime(p)]
+    squares = [p * p for p in below] + [1093**2, 3511**2]
+    values = [v for v in base_2 + list(STRONG_LUCAS_PSEUDOPRIMES)
+              + list(CARMICHAEL) + squares if v < LANE_LIMIT]
+    assert not primality._lane_bpsw(np.array(values, dtype=np.int64)).any()
+    assert_lane_bpsw_matches(values + below)
+
+
+def test_lane_bpsw_mixed_bit_lengths_and_empty():
+    # bit lengths 6 to 62 in one block, with the largest prime of each
+    # length next to a random value
+    rng = random.Random(6)
+    values = []
+    for bits in range(6, LANE_LIMIT.bit_length()):
+        p = 2**bits - 1
+        while not is_prime(p):
+            p -= 2
+        values += [p, rng.randrange(2 ** (bits - 1), 2**bits)]
+    rng.shuffle(values)
+    assert_lane_bpsw_matches(values)
+    empty = primality._lane_bpsw(np.array([], dtype=np.int64))
+    assert empty.dtype == bool and empty.size == 0
+
+
+def test_lane_strong_lucas_matches_the_scalar_test():
+    # without the Miller-Rabin round in front, the Lucas lanes meet every
+    # kind of odd composite: squares, gcd(n, D) > 1, and both endgames;
+    # at 27869 and 852389, V'_d = -2 but V'_(d+1) != -c, at 154697 and
+    # 348611, V'_d = 2 but V'_(d+1) != c
+    rng = random.Random(1093)
+    values = list(range(39, 2**16, 2)) + [27869, 154697, 348611, 852389] \
+        + [rng.randrange(2**40, LANE_LIMIT) | 1 for _ in range(5000)]
+    got = primality._lane_strong_lucas(np.array(values, dtype=np.int64))
+    assert [v for v, g in zip(values, got.tolist())
+            if g != _strong_lucas(v)] == []
