@@ -193,8 +193,8 @@ def _build_parser() -> _Parser:
                    help="1: Sophie Germain {n, 2n+1}; 2: {6n^2+1}")
     p.add_argument("--cap", type=_int_arg, default=10**7,
                    help="largest x to recompute (default 1e7)")
-    p.add_argument("--full", action="store_true",
-                   help="run every reference row (hours of compute)")
+    p.add_argument("--full", action="store_true", help="run every reference "
+                   "row (about 1 min for table 1, 6 for table 2, on 2 cores)")
     p.add_argument("--tol", type=float, default=quadrature.DEFAULT_TOL)
     add_engine_opts(p)
     p.set_defaults(func=cmd_reproduce)
@@ -360,8 +360,8 @@ def cmd_reproduce(args) -> int:
     max_x = reference[-1][0]
     cap = max_x if args.full else min(args.cap, max_x)
     if args.full:
-        print("warning: --full recomputes every reference row; the largest "
-              "take hours", file=sys.stderr)
+        print("warning: --full recomputes every reference row, about 1 min "
+              "(table 1) or 6 min (table 2) on 2 workers", file=sys.stderr)
     rows = [r for r in reference if r[0] <= cap]
     if not rows:
         raise ValueError(f"cap {cap} excludes every reference row")

@@ -5,35 +5,31 @@ factor of the Euler product, and explicit root lists drive the counting
 engine's pre-sieve.  Degree 1 has a closed form, and degree 2 reads the
 count off a Kronecker symbol of the discriminant D (sqrt_mod of D lists the
 roots: the (p+1)/4 exponent for p = 3 (mod 4), Atkin's formula for p = 5
-(mod 8), else Cipolla's method).
+(mod 8), else Tonelli-Shanks with a tabled nonresidue).
 Higher degrees take g_1 = gcd(x^p - x, f) over GF(p), the first step of
 _gfpoly.distinct_degree: its degree is the count, and equal-degree
 splitting of it lists the roots at every p > 3.  At p <= 3 the residues
-are scanned.
-kronecker is imported from primality, whose Lucas test needs it too.
+are scanned.  kronecker is imported from primality, whose Lucas test
+needs it too.
 
 _root_table and _root_counts, the root lists and counts for a whole array
 of primes, solve every prime p > 3 that does not divide the leading
 coefficient in numpy lanes, int64 below 2^31 and exact Python ints above
 (_lane_array), and hand the rest to the scalar path.  Degree 1 and 2 lanes
-use the formulas above and the same square root (_lane_sqrt), Cipolla's
-as one Lucas term (_cipolla).  With integer coefficients, (D|p) and the
-inverse of a lead or of 2a come from tables of at most _LANES entries,
-gathered at p mod |D| or |c|; larger ones take binary reciprocity
-(primality._lane_kronecker) and a power.  Degree >= 3 lanes get g_1 from
-_lane_g1, x^p mod f by square-and-multiply and a lane gcd: its degree is
-omega, and _lane_linear_roots lists its roots, reading each linear factor's
-root off, solving each quadratic one by the formula and splitting larger
-ones by Cantor-Zassenhaus in the same lanes.  On a 2-core Xeon,
-CPython 3.11, numpy 2.4: the root table of 6n^2+1 at B = 2,449,490 takes
-0.19 s, the naive constant of n^2-2 at 10^7 0.10 s and of n^3+2 at 3e5
-0.13 s, all with the tables above; the root table of n^3+2 at B = 10^5
-takes 0.10 s, as g_1 and its split both run in lanes.
+use the formulas above and the same square root (_lane_sqrt).  With
+integer coefficients, (D|p) and the inverse of a lead or of 2a come from
+tables of at most _LANES entries, gathered at p mod |D| or |c|; larger
+ones take binary reciprocity (primality._lane_kronecker) and a power.
+Degree >= 3 lanes get g_1 from _lane_g1, x^p mod f by square-and-multiply
+and a lane gcd: its degree is omega, and _lane_linear_roots lists its
+roots, reading each linear factor's root off, solving each quadratic one
+by the formula and splitting larger ones by Cantor-Zassenhaus in the same
+lanes.  On a 2-core Xeon, CPython 3.11, numpy 2.4, the root table of
+6n^2+1 takes 0.13 s at B = 2,449,490 and 1.6-1.8 s at B = 2^25.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -47,7 +43,6 @@ from .primality import kronecker
 _LANES = 1 << 13  # primes per batch of _root_table and the Euler product
 _LANE_LIMIT = 1 << 31  # int64 lanes below it, products below 2^62
 _G1_LANES = 1 << 11  # primes per sub-batch of _lane_g1
-_CANDIDATES = 4  # values of t per lane and round in _cipolla's search
 
 
 @dataclass(frozen=True)
@@ -80,26 +75,34 @@ def _sqrt_mod(a: int, p: int) -> int | None:
 
     a^((p+1)/4) when p = 3 (mod 4); when p = 5 (mod 8), Atkin's a b (2ab^2 - 1)
     with b = (2a)^((p-5)/8), as 2ab^2 is a root of -1 (Atkin 1992; Mueller,
-    Des. Codes Cryptogr. 31, 2004); else Cipolla's method with the first
-    t = 1, 2, ... for which w = t^2 - a is a nonresidue: the root is
-    (t + sqrt(w))^((p+1)/2) in GF(p)[X]/(X^2 - w).  _lane_sqrt gives the
-    same root in numpy lanes, with that power as a Lucas term (_cipolla).
+    Des. Codes Cryptogr. 31, 2004); else Tonelli-Shanks (Tonelli 1891;
+    Shanks 1973; Cohen, A Course in Computational Algebraic Number Theory,
+    Alg. 1.5.1): with p - 1 = 2^e d, x = a^((d+1)/2), b = a^d, c = z^d for
+    the nonresidue z of _nonresidue, and for k = e-1 down to 1, x <- x c and
+    b <- b c^2 if b^(2^(k-1)) != 1, then c <- c^2.  x^2 = a b throughout,
+    and at step k b's order divides 2^k and c's is 2^(k+1), so b ends at 1.
+    _tonelli_shanks takes these steps in lanes, hence _lane_sqrt's root.
     """
     a %= p
     if a == 0:
         return 0
     if pow(a, (p - 1) // 2, p) != 1:
         return None
-    if p % 4 == 3:
+    if p % 4 != 1:  # 3 (mod 4), or p = 2 with a = 1
         return pow(a, (p + 1) // 4, p)
     if p % 8 == 5:
         b = pow(2 * a, (p - 5) // 8, p)
         return a * b * (2 * a * b * b - 1) % p
-    t = 1
-    while pow((t * t - a) % p, (p - 1) // 2, p) != p - 1:
-        t += 1
-    w = (t * t - a) % p
-    return _gfpoly.pow_mod([t, 1], (p + 1) // 2, [-w % p, 0, 1], p)[0]
+    e = ((p - 1) & (1 - p)).bit_length() - 1
+    z = int(_nonresidue(np.array([p], dtype=object))[0])
+    y = pow(a, (p - 1) >> (e + 1), p)  # a^((d-1)/2)
+    x = a * y % p
+    b, c = x * y % p, pow(z, (p - 1) >> e, p)
+    for k in range(e - 1, 0, -1):
+        if pow(b, 1 << (k - 1), p) != 1:
+            x, b = x * c % p, b * c % p * c % p
+        c = c * c % p
+    return x
 
 
 def _reduce(f: Polynomial, p: int) -> list[int]:
@@ -418,17 +421,12 @@ def _lane_pow(base: np.ndarray, exp: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def _lane_inverse(c: int, a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """1/a mod each prime p of a _lane_array, for a = c mod p a unit and c
-    a nonzero integer: for |c| <= _LANES, (1 + k p)/|c|, negated if c < 0,
-    with k = -1/p mod |c| read at p % |c| from a table of the
-    r^(phi(|c|) - 1); else a^(p-2) by _lane_pow."""
-    if (m := abs(c)) > _LANES:
+    """1/a mod each prime p > 3 of a _lane_array, for a = c mod p a unit
+    and c a nonzero integer: for |c| <= _LANES, 1/c from the cached residue
+    table of primality._lane_unit_inverse; else a^(p-2) by _lane_pow."""
+    if abs(c) > _LANES:
         return _lane_pow(a, p - 2, p)
-    r = np.arange(m)
-    phi = np.count_nonzero(np.gcd(r, m) == 1)
-    k = -_lane_pow(r, np.full(m, phi - 1), np.full(m, m)) % m
-    inv = (1 + k[(p % m).astype(np.int64)] * p) // m
-    return inv if c > 0 else (p - inv) % p
+    return primality._lane_unit_inverse(c, p)
 
 
 def _lane_g1(coeffs: Sequence[int], p: np.ndarray
@@ -545,7 +543,7 @@ def _lane_degree(a: np.ndarray) -> np.ndarray:
 
 def _lane_sqrt(a: np.ndarray, p: np.ndarray) -> np.ndarray:
     """A square root of each quadratic residue a modulo odd prime p: by
-    _sqrt_mod's steps (in _cipolla when p = 1 (mod 8)), so its root."""
+    _sqrt_mod's steps (_tonelli_shanks at p = 1 (mod 8)), so its root."""
     s = np.empty_like(p)
     easy = p % 4 == 3
     s[easy] = _lane_pow(a[easy], (p[easy] + 1) // 4, p[easy])
@@ -553,42 +551,43 @@ def _lane_sqrt(a: np.ndarray, p: np.ndarray) -> np.ndarray:
     q, x = p[atkin], a[atkin]
     b = _lane_pow(2 * x % q, (q - 5) // 8, q)
     s[atkin] = x * b % q * ((2 * x % q * b % q * b - 1) % q) % q
-    cipolla = p % 8 == 1
-    s[cipolla] = _cipolla(a[cipolla], p[cipolla])
+    tonelli = p % 8 == 1
+    s[tonelli] = _tonelli_shanks(a[tonelli], p[tonelli])
     return s
 
 
-def _cipolla(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Cipolla's square root of the residue a modulo each prime p = 1 (mod 8),
-    the lane form of sqrt_mod's, with the same t and so the same root.
+def _tonelli_shanks(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """_sqrt_mod's Tonelli-Shanks root of the residue a modulo each prime
+    p = 1 (mod 4) of a _lane_array.  Step k runs on the lanes with e > k
+    only, so no lane waits on the largest e."""
+    e = primality._trailing_zeros(p - 1)
+    d = (p - 1) >> e
+    y = _lane_pow(a, d >> 1, p)
+    x = a * y % p
+    b, c = x * y % p, _lane_pow(_nonresidue(p), d, p)
+    for k in range(int(e.max(initial=0)) - 1, 0, -1):
+        i = np.flatnonzero(e > k)
+        q, t = p[i], b[i]
+        for _ in range(k - 1):
+            t = t * t % q
+        flip = i[t != 1]
+        x[flip] = x[flip] * c[flip] % p[flip]
+        c[i] = c[i] * c[i] % q
+        b[flip] = b[flip] * c[flip] % p[flip]
+    return x
 
-    Each round tests the next _CANDIDATES values of t on every lane still
-    searching, in one flattened _lane_kronecker; a lane keeps its first -1.
-    Half of all t qualify, so a round leaves about 1/16 of the lanes.
-    The root (t + sqrt(t^2 - a))^k, k = (p+1)/2, lies in GF(p), so it is
-    V_k / 2 for the Lucas sequence V of x^2 - 2tx + a (Mueller 2004): one
-    ladder on (V_m, V_m+1, a^m) from (2, 2t, 1).
-    """
-    t = np.zeros_like(p)
+
+def _nonresidue(p: np.ndarray) -> np.ndarray:
+    """The least odd prime z with (z|p) = -1 at each odd prime p of an int64
+    or object array: by reciprocity (z|n) depends on odd n only mod 4z, so
+    it is read at p mod 4z from one cached table per z,
+    primality._jacobi_table(z).  ArithmeticError if no odd prime below 1000
+    qualifies."""
+    z = np.zeros_like(p)
     todo = np.arange(p.size)
-    first = 1
-    while todo.size:
-        cand = np.arange(first, first + _CANDIDATES, dtype=p.dtype)[:, None]
-        q = p[todo]
-        w = (cand * cand - a[todo]) % q  # one row per candidate t
-        hit = primality._lane_kronecker(
-            w.ravel(), np.tile(q, _CANDIDATES)).reshape(w.shape) == -1
-        found = hit.any(axis=0)
-        t[todo[found]] = cand[hit.argmax(axis=0)[found], 0]
-        todo = todo[~found]
-        first += _CANDIDATES
-    k, two_t = (p + 1) >> 1, 2 * t % p
-    v0, v1, w = np.full_like(p, 2), two_t, np.ones_like(p)  # m = 0
-    for bit in reversed(range(int(k.max(initial=0)).bit_length())):
-        odd = (k >> bit) & 1 == 1
-        mid = (v0 * v1 - two_t * w) % p  # V_2m+1
-        wq = np.where(odd, w * a % p, w)  # a^(m+1) if the bit is set
-        edge = (np.where(odd, v1, v0) ** 2 - 2 * wq) % p  # V_2m or V_2m+2
-        v0, v1 = np.where(odd, mid, edge), np.where(odd, edge, mid)
-        w = w * wq % p
-    return (v0 + (v0 & 1) * p) >> 1
+    for q in primality._TRIAL_PRIMES[1:]:
+        hit = primality._jacobi_table(q)[(p[todo] % (4 * q)).astype(np.int64)]
+        z[todo[hit == -1]] = q
+        if not (todo := todo[hit != -1]).size:
+            return z
+    raise ArithmeticError("no odd prime below 1000 is a nonresidue mod p")

@@ -369,11 +369,10 @@ def _lane_strong_lucas(n: np.ndarray) -> np.ndarray:
     D = 5
     while todo.size:
         m = n[todo]
-        jacobi, inverse = _selfridge_tables(D)
+        jacobi = _jacobi_table(D)
         j = jacobi[m % jacobi.size]
         found = j == -1
-        c[todo[found]] = _lane_unit_inverse((1 - D) // 4, inverse,
-                                            m[found]) - 2
+        c[todo[found]] = _lane_unit_inverse((1 - D) // 4, m[found]) - 2
         todo = todo[(j == 1) | ((j == 0) & (m == abs(D)))]
         D = -(D + 2) if D > 0 else -(D - 2)
     live = np.flatnonzero(c > -3)
@@ -413,26 +412,27 @@ def _lane_strong_lucas(n: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _selfridge_tables(D: int) -> tuple[np.ndarray, np.ndarray]:
-    """One Selfridge round's residue tables: (D|n) at n mod 4|D|, its
-    period on odd n > 0, and the k = -1/n mod |Q| of _lane_unit_inverse
-    at n mod |Q|, -1 where gcd(n, Q) > 1, for Q = (1 - D) / 4."""
+def _jacobi_table(D: int) -> np.ndarray:
+    """(D|n) at n mod 4|D|, its period on odd n > 0 by reciprocity: one
+    Selfridge round's residue table, and modular._nonresidue's."""
     m = 4 * abs(D)
-    jacobi = _lane_kronecker(D, np.arange(m, 2 * m))
-    m = abs(1 - D) // 4
-    inverse = np.array([-pow(b, -1, m) % m if math.gcd(b, m) == 1 else -1
-                        for b in range(m)], dtype=np.int64)
-    return jacobi, inverse
+    return _lane_kronecker(D, np.arange(m, 2 * m))
 
 
-def _lane_unit_inverse(q: int, table: np.ndarray, n: np.ndarray
-                       ) -> np.ndarray:
-    """1/q mod each odd n > |q| of an int64 array, or -1 where gcd(q, n)
-    > 1: with n = |q| a + b, (1 + k n) / |q| = k a + (1 + k b) / |q| for
-    k = -1/n mod |q|, which table holds at b; negated if q < 0."""
+@functools.cache
+def _unit_inverse_table(m: int) -> np.ndarray:
+    """k = -1/b mod m at each residue b mod m, -1 where gcd(b, m) > 1."""
+    return np.array([-pow(b, -1, m) % m if math.gcd(b, m) == 1 else -1
+                     for b in range(m)], dtype=np.int64)
+
+
+def _lane_unit_inverse(q: int, n: np.ndarray) -> np.ndarray:
+    """1/q mod each odd n > 1 of an int64 or object array, in [1, n), or -1
+    where gcd(q, n) > 1: with n = |q| a + b, (1 + k n) / |q| = k a +
+    (1 + k b) / |q| for k = -1/n mod |q| = _unit_inverse_table(|q|)[b]."""
     m = abs(q)
-    a, b = np.divmod(n, m)
-    k = table[b]
+    a, b = n // m, (n % m).astype(np.int64)
+    k = _unit_inverse_table(m)[b]
     inv = k * a + (1 + k * b) // m
     inv = inv if q > 0 else n - inv
     inv[k < 0] = -1

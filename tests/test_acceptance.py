@@ -5,7 +5,8 @@ The two reference tables are recomputed end to end: actual counts must
 match exactly, estimate columns within +/-1 after rounding, constants and
 L-values at their stated absolute tolerances, plus the property-based
 checks that stand in for the large-x rows.  Set BH_ACCEPT_FULL=1 to also
-recompute the optional 10^7 row of the quadratic table.
+recompute the optional 10^7 row of the quadratic table and both tables in
+full (`reproduce 1 --full` and `reproduce 2 --full` on 2 workers).
 """
 
 import math
@@ -84,6 +85,20 @@ def test_criterion_2_optional_1e7_row(acceptance_report):
     acceptance_report(
         "2 (optional): table-2 count at 1e7",
         got == 671361, f"got {got} in {elapsed:.1f}s")
+
+
+@pytest.mark.parametrize("table", ["1", "2"])
+def test_optional_full_reference_table(table, capsys, acceptance_report):
+    if not os.environ.get("BH_ACCEPT_FULL"):
+        pytest.skip("optional full table: set BH_ACCEPT_FULL=1 to run")
+    t0 = time.perf_counter()
+    code = main(["reproduce", table, "--full", "--workers", "2"])
+    elapsed = time.perf_counter() - t0
+    out = capsys.readouterr().out
+    acceptance_report(
+        f"{table} (optional): reproduce {table} --full, every reference row",
+        code == 0 and "REPRODUCE: PASS" in out,
+        f"exit {code} in {elapsed:.1f}s")
 
 
 def _estimate_rows():

@@ -28,10 +28,12 @@ PRIMES_TO_997 = [int(p) for p in np.flatnonzero(simple_sieve(997))]
 # 2^32 and the largest prime below the 2^40 sieve guard
 EDGE_PRIMES = [2147483659, 4294967291, 4294967311, 1099511627689]
 # one int64 batch and one object batch above 2^31: n^2+1 has no root mod
-# 2147483659 (3 mod 4), and n^3+2 three roots mod 2147483869 and one mod
-# 2147483693 and 4294967291
+# 2147483659 (3 mod 4), n^3+2 three roots mod 2147483869 and one mod
+# 2147483693 and 4294967291, and 6n^2+1 two mod 2147483713 (1 mod 8), where
+# its root takes Tonelli-Shanks
 FAULT_BATCHES = [PRIMES_TO_997[2:],
-                 [2147483659, 2147483693, 2147483869, 4294967291]]
+                 [2147483659, 2147483693, 2147483713, 2147483869,
+                  4294967291]]
 
 
 def brute_force_roots(coeffs, p):
@@ -241,7 +243,8 @@ def test_list_roots_large_prime_splitting(p):
         c2 = m(-(r1 + r2 + r3))
         f = Polynomial((c0, c1, c2, 1))
         assert list_roots(f, p).roots == (r1, r2, r3)
-    # quadratics via Tonelli-Shanks
+    # quadratics via sqrt_mod of the discriminant, by Tonelli-Shanks at
+    # 65537 (1 mod 8) and a^((p+1)/4) at the other two primes (3 mod 4)
     for _ in range(8):
         r1, r2 = sorted(rng.sample(range(1, p - 1), 2))
         f = Polynomial(((r1 * r2) % p, (-(r1 + r2)) % p, 1))
@@ -357,15 +360,26 @@ def test_sqrt_mod_roundtrip():
 
 def test_sqrt_mod_rejects_composite_modulus():
     # 2^2 = 4 mod 15, so None would be wrong; on the Carmichael number 561
-    # Euler's criterion never gives -1 and the search for t would not end.
+    # Euler's criterion never gives -1 and Tonelli-Shanks would return 460,
+    # whose square is 103.
     for p in (15, 561, 1, 0, -7):
         with pytest.raises(NotPrimeError):
             sqrt_mod(4, p)
     assert [sqrt_mod(a, 2) for a in (0, 1, 2, 3)] == [0, 1, 0, 1]
 
 
+# p = 1 (mod 8) primes that reach Tonelli-Shanks's hard cases: a large e in
+# p - 1 = 2^e d (27, 26 and 16) and a large least nonresidue z (59, 67 and
+# 71); the last two are object lanes above 2^31
+TONELLI_PRIMES = [2013265921, 469762049, 65537, 22000801, 48473881,
+                  175244281, 2147483713, 2147483777]
+
+
 def test_sqrt_mod_equals_lane_sqrt():
-    # The scalar and lane forms pick the same t, hence the same root.
+    # The scalar and lane forms take the same steps, hence the same root,
+    # and sympy lists both roots independently.
+    sympy_sqrt_mod = pytest.importorskip(
+        "sympy.ntheory.residue_ntheory").sqrt_mod
     rng = random.Random(7)
     p = np.array([q for q in primes_up_to(10**5) if q >= 5], dtype=np.int64)
     a = np.array([pow(rng.randrange(1, q), 2, q) for q in p.tolist()],
@@ -373,32 +387,52 @@ def test_sqrt_mod_equals_lane_sqrt():
     lanes = modular._lane_sqrt(a, p)
     assert lanes.tolist() == [sqrt_mod(x, q) for x, q in
                               zip(a.tolist(), p.tolist())]
-    # Atkin's p = 5 (mod 8) lanes run no search and give the scalar root
+    for s, x, q in zip(lanes.tolist(), a.tolist(), p.tolist()):
+        assert s * s % q == x
+        assert sorted({s, q - s}) == sympy_sqrt_mod(x, q, all_roots=True)
+    # Atkin's p = 5 (mod 8) lanes give the scalar root
     atkin = p % 8 == 5
     assert atkin.sum() > 1000
     assert lanes[atkin].tolist() == [modular._sqrt_mod(x, q) for x, q in
                                      zip(a[atkin].tolist(), p[atkin].tolist())]
-    # some p = 1 (mod 8) lane found no nonresidue t^2 - a in the first
-    # round of candidates, so the search's retry path ran
-    assert any(q % 8 == 1 and all(
-        pow((t * t - x) % q, (q - 1) // 2, q) != q - 1
-        for t in range(1, modular._CANDIDATES + 1))
-        for x, q in zip(a.tolist(), p.tolist()))
-    # object lanes: primes = 1 and = 5 (mod 8) just above 2^31 and the last
-    # edge prime (= 1 (mod 8)); the two batches after them have no
-    # p = 1 (mod 8) lane, so _cipolla gets empty arrays
-    for batch in ([2147483713, 2147483777, 2147483693, 2147483813,
-                   EDGE_PRIMES[-1]],
-                  [q for q in primes_up_to(10**4) if q >= 5 and q % 8 != 1],
-                  [2147483659, 2147483693, 2147483813]):
+    # Tonelli-Shanks's hard cases, in int64 lanes below 2^31 and the same
+    # primes again in object lanes; object lanes at primes = 1 and = 5
+    # (mod 8) just above 2^31 and the last edge prime (= 1 (mod 8)); the
+    # two batches after them have no p = 1 (mod 8) lane, so
+    # _tonelli_shanks gets empty arrays
+    for batch, dtype in ((TONELLI_PRIMES[:6], np.int64),
+                         (TONELLI_PRIMES, object),
+                         ([2147483693, 2147483813, EDGE_PRIMES[-1]], object),
+                         ([q for q in primes_up_to(10**4)
+                           if q >= 5 and q % 8 != 1], np.int64),
+                         ([2147483659, 2147483693, 2147483813], object)):
         primes = [q for q in batch for _ in range(16)]
-        p = modular._lane_array(np.array(primes, dtype=np.int64))
+        p = np.array(primes, dtype=np.int64).astype(dtype)
         a = np.array([pow(rng.randrange(1, q), 2, q) for q in primes],
                      dtype=p.dtype)
         lanes = modular._lane_sqrt(a, p)
         assert lanes.dtype == p.dtype
         assert lanes.tolist() == [sqrt_mod(x, q) for x, q in
                                   zip(a.tolist(), primes)]
+        for s, x, q in zip(lanes.tolist(), a.tolist(), primes):
+            assert s * s % q == x
+            assert sorted({s, q - s}) == sympy_sqrt_mod(x, q, all_roots=True)
+
+
+def test_nonresidue_is_the_least_odd_prime_nonresidue():
+    # Euler's criterion is the oracle
+    p = np.array([q for q in primes_up_to(10**4) if q % 4 == 1]
+                 + TONELLI_PRIMES, dtype=np.int64)
+    z = modular._nonresidue(p).tolist()
+    assert z[-8:] == [11, 3, 3, 59, 67, 71, 5, 3]
+    for q, zq in zip(p.tolist(), z):
+        assert pow(zq, (q - 1) // 2, q) == q - 1
+        assert all(pow(r, (q - 1) // 2, q) == 1
+                   for r in PRIMES_TO_997[1:] if r < zq)
+    assert modular._nonresidue(p.astype(object)).tolist() == z
+    # (q|1) = 1 for every q, so no odd prime qualifies
+    with pytest.raises(ArithmeticError, match="nonresidue"):
+        modular._nonresidue(np.array([1], dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -619,6 +653,17 @@ def test_root_table_raises_when_legendre_symbol_is_flipped(monkeypatch):
     for batch in FAULT_BATCHES:
         with pytest.raises(ArithmeticError, match="square root"):
             _root_table([parse_polynomial("n^2+1")],
+                        [np.array(batch, dtype=np.int64)])
+
+
+def test_root_table_raises_when_the_nonresidue_is_a_residue(monkeypatch):
+    # z^2 in place of z: Tonelli-Shanks's c then misses the order it needs,
+    # caught by s^2 = D in the p = 1 (mod 8) lanes
+    monkeypatch.setattr(modular, *_corrupt(
+        "_nonresidue", lambda out, p: out * out % p))
+    for batch in FAULT_BATCHES:
+        with pytest.raises(ArithmeticError, match="square root"):
+            _root_table([parse_polynomial("6*n^2+1")],
                         [np.array(batch, dtype=np.int64)])
 
 
