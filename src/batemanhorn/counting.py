@@ -15,10 +15,11 @@ that is when sum_i |c_i| m^i < 2^63 for every f_i at the block's last n =
 m, and past that limit in object arrays of Python ints.  Those with a value
 below 2 fail, those with every value in [2, (B+1)^2) qualify, and only the
 rest are tested.  An int64 block whose values all lie below
-primality.LANE_BPSW_LIMIT (2^62 with an x87 long double) is tested in
-numpy lanes by primality._lane_bpsw: f_1 on every lane left, then f_2 on
-those that pass, and so on.  Any other block goes one n at a time through
-_admit and classify, where the probable verdicts and the 128-bit guard are.
+primality.LANE_BPSW_LIMIT (floor(2^64 / 3), about 6.1e18, with an x87
+long double) is tested in numpy lanes by primality._lane_bpsw: f_1 on
+every lane left, then f_2 on those that pass, and so on.  Any other block
+goes one n at a time through _admit and classify, where the probable
+verdicts and the 128-bit guard are.
 B = min(presieve_bound, isqrt(max_i f_i(x)) + 1): a larger bound would mark
 no composite value that a smaller prime misses.
 
@@ -33,8 +34,8 @@ numpy 2.4: degrees 1 and 2 are solved in numpy lanes at about 1.1 us a
 prime, as (D|p) and small inverses are read from tables.  A cubic's table
 costs about 10 us a prime (0.10 s for n^3+2 at B = 10^5), as g_1 =
 gcd(x^p - x, f) and its split both run in lanes.  A Baillie-PSW test of a
-prime value costs about 27 us near 6e12 and 40 us near 2^61 one at a time,
-3.6 and 5.4 us in blocks of 4096 lanes, and 45 us near 2^64, past the lanes.
+prime value costs 4.6-7.4 us in blocks of 4096 lanes from 6e12 to 6.1e18,
+against 28-72 us one at a time there and 55-65 us near 2^64, past the lanes.
 So when every f_i has degree <= 2, B is capped only at 2^25: pi(2^25) =
 2,063,689 primes cost about 2 s and 16 MB for one quadratic, and the cap
 covers the full bound of `reproduce 2 --cap 1e7` (isqrt(6e14) + 1 =

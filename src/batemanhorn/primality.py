@@ -12,14 +12,15 @@ Composite verdicts are always certain: a failed Miller-Rabin or Lucas test
 or a found factor is a proof.
 
 _lane_bpsw takes the same decisions for a whole int64 array of values below
-LANE_BPSW_LIMIT = 2^min(62, nmant - 1), nmant from np.finfo(np.longdouble)
-(63 for the x87 extended type, so 2^62; 2^51 where long double is a
-double).  Each product a b mod n takes its quotient from long doubles,
-q = trunc(fl(fl(a) fl(b)) / fl(n)), and its remainder a b - q n in wrapping
-int64.  Below the limit a, b and n convert exactly and the computed
-quotient is less than 1 from a b / n, so the remainder lies in (-n, 2n),
-which int64 holds; one +-n fix-up reduces it (_lane_mul proves it).  Selfridge's D is found in rounds of one D for all lanes, with (D|n)
-and 1/Q read from residue tables.
+LANE_BPSW_LIMIT: floor(2^64 / 3) if the long double has nmant >= 63 (the
+x87 extended type), else 2^(nmant - 1), so 2^51 where it is a double.
+Each product a b mod n takes its quotient from long doubles, q =
+trunc(fl(fl(a) fl(b)) / fl(n)), and its remainder a b - q n in wrapping
+uint64, u.  Below the limit the true remainder lies in (-n, 2n), and as
+3 n <= 2^64 the least of u, u - n and u + n mod 2^64 is the reduced one
+(_lane_mul and _lane_mod prove it); every other lane step that can leave
+[0, n) reduces by the same minimum.  Selfridge's D is found in rounds of
+one D for all lanes, with (D|n) and 1/Q read from residue tables.
 """
 
 from __future__ import annotations
@@ -282,7 +283,8 @@ def is_prime(v: int) -> bool:
 # ---------------------------------------------------------------------------
 
 # Below this bound _lane_bpsw's products are exact; see _lane_mul.
-LANE_BPSW_LIMIT = 1 << min(62, np.finfo(np.longdouble).nmant - 1)
+_NMANT = np.finfo(np.longdouble).nmant
+LANE_BPSW_LIMIT = U64 // 3 if _NMANT >= 63 else 1 << (_NMANT - 1)
 _SMALL_TABLE = np.bincount(_SMALL_PRIMES).astype(bool)  # index v <= 37
 
 
@@ -307,26 +309,36 @@ def _lane_bpsw(v: np.ndarray) -> np.ndarray:
 
 def _lane_mul(a: np.ndarray, fa: np.ndarray, b: np.ndarray, fb: np.ndarray,
               n: np.ndarray, fn: np.ndarray) -> np.ndarray:
-    """a b mod n for int64 residues a, b in [0, n) and n < LANE_BPSW_LIMIT,
+    """a b mod n for uint64 residues a, b in [0, n) and n < LANE_BPSW_LIMIT,
     given fa, fb, fn: a, b, n as np.longdouble.
 
-    q = trunc(fl(fl(fa fb) / fn)) and r = a b - q n in wrapping int64,
-    then one +-n fix-up.  Proof: the long double has p = nmant + 1 >= 53
-    significand bits and n < L = 2^min(62, p - 2), so a, b and n convert
-    exactly, and with t = a b / n < n < L the two roundings give
-    y = t (1 + e), |e| <= 2^(1-p) + 2^(-2p), so |y - t| < L 2^(1-p) (1 +
-    2^-p) <= (1 + 2^-p) / 2 < 1.  As y >= 0, q = floor(y) lies in
-    (t - 2, t + 1), so the true r = n (t - q) lies in (-n, 2n), inside
-    int64 as 2n <= 2^63; the wrapped difference is exact modulo 2^64,
-    hence equal to r.  Adding n if r < 0 or subtracting it if r >= n
-    gives [0, n).
+    q = trunc(fl(fl(fa fb) / fn)), then u = a b - q n in wrapping uint64
+    and _lane_mod.  Proof: the long double has p = nmant + 1 significand
+    bits.  If p >= 64, n < L = floor(2^64 / 3) < 2^62.42; otherwise
+    L = 2^(p - 2).  Either way a, b and n convert exactly, and with t =
+    a b / n < n < L the two roundings give y = t (1 + e), |e| <= 2^(1-p) +
+    2^(-2p), so |y - t| < L 2^(1-p) (1 + 2^-p) < 2^-0.58 < 1.  As y >= 0,
+    q = floor(y) lies in (t - 2, t + 1), so the true r = n (t - q) lies in
+    (-n, 2n), and u = r mod 2^64.  q < 2^63 is taken through int64, whose
+    conversion from long double is the faster one.
     """
-    q = (fa * fb / fn).astype(np.int64)
-    r = a * b
-    r -= q * n
-    r += n & (r >> 63)
-    r -= n & ((n - 1 - r) >> 63)
-    return r
+    q = (fa * fb / fn).astype(np.int64).view(np.uint64)
+    u = a * b
+    u -= q * n
+    return _lane_mod(u, n)
+
+
+def _lane_mod(u: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """r mod n from u = r mod 2^64 in uint64, r in (-n, 2n), 3 n <= 2^64,
+    overwriting u: of r - n, r and r + n one lies in [0, n), and the other
+    two in [n, 3n) or in [-2n, 0), which wraps to [2^64 - 2n, 2^64) and
+    2^64 - 2n >= n; so the least of u - n, u and u + n mod 2^64 is r mod n."""
+    # One temporary: the nested minimum's three raised the peak RSS of
+    # n^3+2 counting on 2 workers by about 0.4 MB.
+    t = u - n
+    np.minimum(t, u, out=t)
+    u += n
+    return np.minimum(t, u, out=t)
 
 
 def _lane_miller_rabin_2(n: np.ndarray) -> np.ndarray:
@@ -335,14 +347,14 @@ def _lane_miller_rabin_2(n: np.ndarray) -> np.ndarray:
     lane over the longest d (a leading 0 squares 1), and a 1 bit doubles."""
     d = n - 1
     s = _trailing_zeros(d)
-    d >>= s
+    d = (d >> s).view(np.uint64)
+    n = n.view(np.uint64)
     fn = n.astype(np.longdouble)
     x = np.ones_like(n)
     for j in range(int(d.max(initial=0)).bit_length() - 1, -1, -1):
         fx = x.astype(np.longdouble)
         x = _lane_mul(x, fx, x, fx, n, fn)
-        x <<= (d >> j) & 1
-        x -= n & ((n - 1 - x) >> 63)
+        x = _lane_mod(x << ((d >> j) & 1), n)
     ok = (x == 1) | (x == n - 1)
     k = np.flatnonzero(~ok)
     for r in range(1, int(s.max(initial=0))):
@@ -376,23 +388,22 @@ def _lane_strong_lucas(n: np.ndarray) -> np.ndarray:
         todo = todo[(j == 1) | ((j == 0) & (m == abs(D)))]
         D = -(D + 2) if D > 0 else -(D - 2)
     live = np.flatnonzero(c > -3)
-    n, c = n[live], c[live]
-    c += n & (c >> 63)
+    k = n[live] + 1
+    s = _trailing_zeros(k)
+    d = (k >> s).view(np.uint64)
+    # c >= 0: 1/Q = 1 would need n | (D + 3) / 4, but some D = 1 (mod 4)
+    # below 4n - 3 has (D|n) = -1, as those D meet every class but 1, -3
+    n, c = n[live].view(np.uint64), c[live].view(np.uint64)
     fn = n.astype(np.longdouble)
 
-    k = n + 1
-    s = _trailing_zeros(k)
-    d = k >> s
     V, W = np.full_like(n, 2), c.copy()
     for j in range(int(d.max(initial=0)).bit_length() - 1, -1, -1):
         bit = ((d >> j) & 1).astype(bool)
         fV, fW = V.astype(np.longdouble), W.astype(np.longdouble)
-        P = _lane_mul(V, fV, W, fW, n, fn) - c
-        P += n & (P >> 63)
+        P = _lane_mod(_lane_mul(V, fV, W, fW, n, fn) - c, n)
         X = np.where(bit, W, V)
         fX = X.astype(np.longdouble)
-        S = _lane_mul(X, fX, X, fX, n, fn) - 2
-        S += n & (S >> 63)
+        S = _lane_mod(_lane_mul(X, fX, X, fX, n, fn) - 2, n)
         V, W = np.where(bit, P, S), np.where(bit, S, P)
 
     hit = (((V == 2) & (W == c))
@@ -405,8 +416,7 @@ def _lane_strong_lucas(n: np.ndarray) -> np.ndarray:
         k = k[~zero]
         x, m = V[k], n[k]
         fx = x.astype(np.longdouble)
-        x = _lane_mul(x, fx, x, fx, m, fn[k]) - 2
-        V[k] = x + (m & (x >> 63))
+        V[k] = _lane_mod(_lane_mul(x, fx, x, fx, m, fn[k]) - 2, m)
     ok[live[hit]] = True
     return ok
 

@@ -446,13 +446,13 @@ def triage_blocks(state, lo, hi):
 
 
 LANE_LIMIT = primality.LANE_BPSW_LIMIT
-# n^3 + 2 passes LANE_LIMIT = 2^62 past n = 1664510; 6n^2 + 1 past
-# n = 876706528.
-LANE_EDGES = [(("n^3+2",), 1664510), (("6*n^2+1",), 876706528)]
+# n^3 + 2 passes LANE_LIMIT = floor(2^64 / 3) past n = 1832031; 6n^2 + 1
+# past n = 1012333499.
+LANE_EDGES = [(("n^3+2",), 1832031), (("6*n^2+1",), 1012333499)]
 
 
-@pytest.mark.skipif(LANE_LIMIT != 2**62,
-                    reason="the edges are those of the x87 limit 2^62")
+@pytest.mark.skipif(LANE_LIMIT != 2**64 // 3,
+                    reason="the edges are those of the x87 limit 2^64 // 3")
 @pytest.mark.parametrize("texts,edge", LANE_EDGES)
 def test_triage_matches_brute_force_at_the_lane_limit(monkeypatch, texts,
                                                       edge):

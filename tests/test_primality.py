@@ -282,8 +282,9 @@ def test_large_mersenne_values():
 
 LANE_LIMIT = primality.LANE_BPSW_LIMIT
 # Chernick's Carmichael numbers (6k+1)(12k+1)(18k+1), whose three factors
-# are prime at these k; 41 to 62 bits.
-CHERNICK_K = (1025, 20071, 90096, 130076)
+# are prime at these k; 41 to 62 bits, and from 152806 up in
+# [2^62, floor(2^64 / 3)).
+CHERNICK_K = (1025, 20071, 90096, 130076, 152806, 153205, 157866, 167810)
 CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341,
               41041, 46657, 52633, 62745, 63973,
               *((6 * k + 1) * (12 * k + 1) * (18 * k + 1) for k in CHERNICK_K))
@@ -307,12 +308,13 @@ def assert_lane_bpsw_matches(values):
 
 
 def test_lane_bpsw_limit():
-    # 2^62 where the long double has a 64-bit significand (x87), 2^51
-    # where it is a double
+    # floor(2^64 / 3) where the long double has a 64-bit significand (x87),
+    # 2^51 where it is a double; 2^63 - 1 is above either
     nmant = np.finfo(np.longdouble).nmant
-    assert LANE_LIMIT == 2 ** min(62, nmant - 1)
-    with pytest.raises(ValueError, match="LANE_BPSW_LIMIT"):
-        primality._lane_bpsw(np.array([5, LANE_LIMIT], dtype=np.int64))
+    assert LANE_LIMIT == (2**64 // 3 if nmant >= 63 else 2 ** (nmant - 1))
+    for v in (LANE_LIMIT, 2**63 - 1):
+        with pytest.raises(ValueError, match="LANE_BPSW_LIMIT"):
+            primality._lane_bpsw(np.array([5, v], dtype=np.int64))
 
 
 def test_lane_bpsw_below_2_16():
@@ -320,23 +322,31 @@ def test_lane_bpsw_below_2_16():
 
 
 def test_lane_bpsw_random_and_just_below_the_limit():
+    # past 2^62 a residue's double and the remainder's window (-n, 2n)
+    # leave int64, so that range gets its own random values
     rng = random.Random(62)
     assert_lane_bpsw_matches([rng.randrange(2, LANE_LIMIT)
                               for _ in range(20_000)])
+    assert_lane_bpsw_matches([rng.randrange(2**62, max(LANE_LIMIT, 2**62 + 1))
+                              for _ in range(5_000)])
+    assert_lane_bpsw_matches(range(2**62 - 1000, 2**62 + 2000))
     assert_lane_bpsw_matches(range(LANE_LIMIT - 3000, LANE_LIMIT))
 
 
 def test_lane_bpsw_pseudoprimes_and_squares():
     # base-2 strong pseudoprimes, Selfridge strong Lucas pseudoprimes and
     # Carmichael numbers are composite; so are the squares of the largest
-    # primes below 2^31 and those of the Wieferich primes 1093 and 3511,
-    # which pass base 2
+    # primes below 2^31 and sqrt(LANE_LIMIT), the smallest above 2^31, and
+    # those of the Wieferich primes 1093 and 3511, which pass base 2
     for k in CHERNICK_K:
         assert all(is_prime(f) for f in (6 * k + 1, 12 * k + 1, 18 * k + 1))
     base_2 = [psi for psi, _ in STRONG_PSEUDOPRIME_EDGES]
     assert all(_miller_rabin(v, (2,)) for v in base_2 + [1093**2, 3511**2])
-    below = [p for p in range(2**31 - 1, 2**31 - 400, -2) if is_prime(p)]
-    squares = [p * p for p in below] + [1093**2, 3511**2]
+    root = math.isqrt(LANE_LIMIT - 1)
+    below = [p for r in (2**31 - 1, (root - 1) | 1)
+             for p in range(r, r - 400, -2) if is_prime(p)]
+    above = [p for p in range(2**31 + 1, 2**31 + 400, 2) if is_prime(p)]
+    squares = [p * p for p in below + above] + [1093**2, 3511**2]
     values = [v for v in base_2 + list(STRONG_LUCAS_PSEUDOPRIMES)
               + list(CARMICHAEL) + squares if v < LANE_LIMIT]
     assert not primality._lane_bpsw(np.array(values, dtype=np.int64)).any()
@@ -359,6 +369,8 @@ def test_lane_bpsw_mixed_bit_lengths_and_empty():
     assert empty.dtype == bool and empty.size == 0
 
 
+# An operand left outside [0, n) shows as an invalid cast in _lane_mul.
+@pytest.mark.filterwarnings("error")
 def test_lane_strong_lucas_matches_the_scalar_test():
     # without the Miller-Rabin round in front, the Lucas lanes meet every
     # kind of odd composite: squares, gcd(n, D) > 1, and both endgames;
