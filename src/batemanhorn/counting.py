@@ -12,14 +12,12 @@ every value there is tested.
 Survivors are triaged 2^12 at a time, their values coming from one array
 evaluation per f_i: in int64 lanes where Horner is exact for the block,
 that is when sum_i |c_i| m^i < 2^63 for every f_i at the block's last n =
-m, and past that limit in object arrays of Python ints.  Those with a value
-below 2 fail, those with every value in [2, (B+1)^2) qualify, and only the
-rest are tested.  An int64 block whose values all lie below
+m, and past that limit in object arrays of Python ints.  One rule then
+runs f_1 on every n, f_2 on the n that pass, and so on: a value below 2
+fails, one in [2, (B+1)^2) passes, and every other value is tested by its
+own size, in numpy lanes by primality._lane_bpsw below
 primality.LANE_BPSW_LIMIT (floor(2^64 / 3), about 6.1e18, with an x87
-long double) is tested in numpy lanes by primality._lane_bpsw: f_1 on
-every lane left, then f_2 on those that pass, and so on.  Any other block
-goes one n at a time through _admit and classify, where the probable
-verdicts and the 128-bit guard are.
+long double), else one at a time by classify, behind the 128-bit guard.
 B = min(presieve_bound, isqrt(max_i f_i(x)) + 1): a larger bound would mark
 no composite value that a smaller prime misses.
 
@@ -190,9 +188,10 @@ def _process_chunk_state(state, bounds: tuple[int, int]
     segment with hi <= n_star is not sieved and every value in it is tested.
     The survivors are triaged in blocks (module docstring), as int64 lanes
     when sum_i |c_i| m^i < 2^63 for every f_i at the block's last n = m and
-    as Python ints otherwise.  Only the values >= (B+1)^2 are tested: in
-    lanes by _lane_bpsw when the block is int64 and below its limit, else
-    by _admit, one survivor at a time and in order.
+    as Python ints otherwise.  Each n fails at its first value below 2 or
+    found composite, in the system's order; only values >= (B+1)^2 are
+    tested, by _lane_bpsw below its limit and by classify above it, where
+    a value past 2^127 - 1 raises once the n's loop reaches it.
     Returns the qualified n, ascending (8 bytes each in an int64 array,
     not a list of ints), and the first of them that a probable verdict
     admitted (None if none did).
@@ -210,43 +209,27 @@ def _process_chunk_state(state, bounds: tuple[int, int]
         exact = all(_eval_exact(c, int(n[-1])) <= I64_MAX for c in abs_coeffs)
         m = n if exact else n.astype(object)
         values = np.array([_eval_exact(coeffs, m) for coeffs in coeffs_list])
-        keep = (values >= 2).all(axis=0)
-        if exact and values.max() < primality.LANE_BPSW_LIMIT:
-            for row in values:
-                lanes = np.flatnonzero(keep & (row >= proved))
-                if lanes.size:
-                    keep[lanes] = primality._lane_bpsw(row[lanes])
-        else:
-            for j in np.flatnonzero((values >= proved).any(axis=0)).tolist():
-                keep[j], uncertain = _admit(n[j], values[:, j].tolist(),
-                                            proved)
-                if keep[j] and uncertain and probable is None:
-                    probable = int(n[j])
+        keep = np.ones(n.size, dtype=bool)
+        uncertain = np.zeros(n.size, dtype=bool)
+        for row in values:
+            keep &= row >= 2
+            tested = keep & (row >= proved)
+            lanes = tested & (row < primality.LANE_BPSW_LIMIT)
+            if lanes.any():
+                keep[lanes] = primality._lane_bpsw(row[lanes])
+            for j in np.flatnonzero(tested & ~lanes).tolist():
+                v = int(row[j])
+                if v > I128_MAX:
+                    raise RangeOverflowError(
+                        f"value at n={n[j]} leaves the signed 128-bit range")
+                verdict = primality.classify(v)
+                keep[j] = verdict.prime
+                uncertain[j] |= verdict.certainty == primality.PROBABLE
         qualified.frombytes(n[keep].tobytes())
+        first = np.flatnonzero(keep & uncertain)
+        if probable is None and first.size:
+            probable = int(n[first[0]])
     return qualified, probable
-
-
-def _admit(n: int, values: list[int],
-           proved: int) -> tuple[bool, bool]:
-    """(qualified, uncertain) for the survivor n, whose values are listed in
-    the system's order: it fails at the first value < 2 or found composite,
-    a value below proved needs no test, and uncertain says whether a
-    probable verdict admitted it.  A value past the signed 128-bit range
-    raises when the loop reaches it."""
-    uncertain = False
-    for v in values:
-        if v > I128_MAX:
-            raise RangeOverflowError(
-                f"value at n={n} leaves the signed 128-bit range")
-        if v < 2:
-            return False, False
-        if v < proved:
-            continue
-        verdict = primality.classify(v)
-        if not verdict.prime:
-            return False, False
-        uncertain = uncertain or verdict.certainty == primality.PROBABLE
-    return True, uncertain
 
 
 def _sieve_segment(table: list[tuple[np.ndarray, np.ndarray]], lo: int,

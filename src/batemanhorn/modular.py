@@ -17,9 +17,10 @@ of primes, solve every prime p > 3 that does not divide the leading
 coefficient in numpy lanes, int64 below 2^31 and exact Python ints above
 (_lane_array), and hand the rest to the scalar path.  Degree 1 and 2 lanes
 use the formulas above and the same square root (_lane_sqrt).  With
-integer coefficients, (D|p) and the inverse of a lead or of 2a come from
-tables of at most _LANES entries, gathered at p mod |D| or |c|; larger
-ones take binary reciprocity (primality._lane_kronecker) and a power.
+integer coefficients and |D|, |c| <= _LANES, (D|p) is gathered at p mod
+|D| from one cached table per D and the inverse of a lead or of 2a at
+p mod |c| from a table; larger ones take binary reciprocity
+(primality._lane_kronecker) and a power.
 Degree >= 3 lanes get g_1 from _lane_g1, x^p mod f by square-and-multiply
 and a lane gcd: its degree is omega, and _lane_linear_roots lists its
 roots, reading each linear factor's root off, solving each quadratic one
@@ -382,9 +383,9 @@ def _lane_split(coeffs: Sequence, red: list[np.ndarray], p: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Whether a quadratic with coefficients coeffs, red = (c, b, a) mod each
     prime p > 3 of a _lane_array, splits, by the Legendre symbol (D|p) of
-    its discriminant D: for integers with 0 < |D| <= _LANES read at p % |D|
-    from a table of (D|m), m in [|D|, 2|D|), as D = 0 or 1 (mod 4) gives
-    (D|.) period |D|, else by the lane Kronecker symbol of D mod p.
+    its discriminant D: for integers with 0 < |D| <= _LANES read at
+    p % |D| from the table cached per D, primality._jacobi_table(D), else
+    by the lane Kronecker symbol of D mod p.
 
     Returns the mask of the lanes left to the scalar path (p divides a or
     D), the indices of the other lanes, D at those lanes and the mask of
@@ -398,9 +399,9 @@ def _lane_split(coeffs: Sequence, red: list[np.ndarray], p: np.ndarray
     q, disc = p[lanes], disc[lanes]
     c, b, a = coeffs
     d = b * b - 4 * a * c if isinstance(c, int) else 0
-    if 0 < (m := abs(d)) <= _LANES:  # costs at most one batch of symbols
-        sym = primality._lane_kronecker(d, np.arange(m, 2 * m))[
-            (q % m).astype(np.int64)]
+    if 0 < abs(d) <= _LANES:
+        table = primality._jacobi_table(d)
+        sym = table[(q % table.size).astype(np.int64)]
     else:
         sym = primality._lane_kronecker(disc, q)
     if np.any(sym == 0):
@@ -579,14 +580,15 @@ def _tonelli_shanks(a: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def _nonresidue(p: np.ndarray) -> np.ndarray:
     """The least odd prime z with (z|p) = -1 at each odd prime p of an int64
-    or object array: by reciprocity (z|n) depends on odd n only mod 4z, so
-    it is read at p mod 4z from one cached table per z,
+    or object array: by reciprocity (z|n) depends on odd n only mod 4z (z
+    if z = 1 mod 4), so it is read from one cached table per z,
     primality._jacobi_table(z).  ArithmeticError if no odd prime below 1000
     qualifies."""
     z = np.zeros_like(p)
     todo = np.arange(p.size)
     for q in primality._TRIAL_PRIMES[1:]:
-        hit = primality._jacobi_table(q)[(p[todo] % (4 * q)).astype(np.int64)]
+        table = primality._jacobi_table(q)
+        hit = table[(p[todo] % table.size).astype(np.int64)]
         z[todo[hit == -1]] = q
         if not (todo := todo[hit != -1]).size:
             return z

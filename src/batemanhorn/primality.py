@@ -423,10 +423,13 @@ def _lane_strong_lucas(n: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _jacobi_table(D: int) -> np.ndarray:
-    """(D|n) at n mod 4|D|, its period on odd n > 0 by reciprocity: one
-    Selfridge round's residue table, and modular._nonresidue's."""
-    m = 4 * abs(D)
-    return _lane_kronecker(D, np.arange(m, 2 * m))
+    """(D|n) as int8 at n mod the table's size, its period: |D| for all
+    n > 0 when D = 0 or 1 (mod 4), else 4|D| on odd n by reciprocity.  One
+    Selfridge round's residue table, modular._nonresidue's and
+    modular._lane_split's; one byte per entry keeps every table that
+    _lane_split may cache, |D| <= 2^13, within 32 MB in total."""
+    m = abs(D) if D % 4 in (0, 1) else 4 * abs(D)
+    return _lane_kronecker(D, np.arange(m, 2 * m)).astype(np.int8)
 
 
 @functools.cache

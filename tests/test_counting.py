@@ -456,26 +456,38 @@ LANE_EDGES = [(("n^3+2",), 1832031), (("6*n^2+1",), 1012333499)]
 @pytest.mark.parametrize("texts,edge", LANE_EDGES)
 def test_triage_matches_brute_force_at_the_lane_limit(monkeypatch, texts,
                                                       edge):
-    # One survivor block straddles the limit and takes _admit; the blocks
-    # wholly below it are tested in int64 lanes, never above it.
+    # One survivor block straddles the limit: each of its tested values
+    # goes to _lane_bpsw below the limit and to classify at or above it.
     s = system(*texts)
     f = s.polys[0]
     assert evaluate(f, edge) < LANE_LIMIT <= evaluate(f, edge + 1)
     state = kernel_state(s, 10**5)
     lo, hi = edge - 2**16 + 1, edge + 2**16
     blocks = triage_blocks(state, lo, hi)
-    assert any(evaluate(f, int(b[0])) < LANE_LIMIT <= evaluate(f, int(b[-1]))
-               for b in blocks)
-    tested = []
-    lane_bpsw = primality._lane_bpsw
+    straddling = [b for b in blocks
+                  if evaluate(f, int(b[0])) < LANE_LIMIT
+                  <= evaluate(f, int(b[-1]))]
+    assert len(straddling) == 1
+    below = {v for v in (evaluate(f, n) for n in straddling[0].tolist())
+             if (state[2] + 1) ** 2 <= v < LANE_LIMIT}
+    expected = brute_force_chunk(s, lo, hi)
+    laned, classified = [], []
+    lane_bpsw, classify = primality._lane_bpsw, primality.classify
 
-    def spy(v):
-        tested.extend(v.tolist())
+    def lane_spy(v):
+        laned.extend(v.tolist())
         return lane_bpsw(v)
 
-    monkeypatch.setattr(primality, "_lane_bpsw", spy)
-    assert kernel_chunk(state, lo, hi) == brute_force_chunk(s, lo, hi)
-    assert tested and max(tested) < LANE_LIMIT
+    def classify_spy(v):
+        classified.append(v)
+        return classify(v)
+
+    monkeypatch.setattr(primality, "_lane_bpsw", lane_spy)
+    monkeypatch.setattr(primality, "classify", classify_spy)
+    assert kernel_chunk(state, lo, hi) == expected
+    assert laned and max(laned) < LANE_LIMIT
+    assert below and below <= set(laned)
+    assert classified and min(classified) >= LANE_LIMIT
 
 
 def test_triage_matches_brute_force_across_the_cubic_int64_limit():
@@ -492,8 +504,9 @@ def test_triage_matches_brute_force_across_the_cubic_int64_limit():
 def test_triage_of_values_below_minus_2_63_in_the_direct_range():
     # f = 2^35 n^2 - 2^55 n + 1 = 2^35 n (n - 2^20) + 1 falls below -2^63
     # and climbs to about 3.6e18 < LANE_LIMIT in one block of the direct
-    # range: an object block, since sum_i |c_i| n^i passes 2^63, so _admit
-    # decides it and no value is cast to int64.
+    # range: an object block, since sum_i |c_i| n^i passes 2^63.  Its
+    # values below 2 fail before any cast, and the tested ones, all below
+    # the limit, go to _lane_bpsw.
     s = system("n", "2^35*n^2-2^55*n+1")
     f = s.polys[1]
     lo, hi = 2**20 - 300, 2**20 + 100
@@ -501,7 +514,25 @@ def test_triage_of_values_below_minus_2_63_in_the_direct_range():
     assert min(values) < -2**63 and max(values) < LANE_LIMIT
     state = (tuple(g.coeffs for g in s.polys), [], 0, 2**21)
     assert len(triage_blocks(state, lo, hi)) == 1
-    assert kernel_chunk(state, lo, hi) == brute_force_chunk(s, lo, hi)
+    laned = []
+    lane_bpsw = primality._lane_bpsw
+
+    def lane_spy(v):
+        laned.extend(v.tolist())
+        return lane_bpsw(v)
+
+    def classify_spy(v):
+        raise AssertionError(f"classify({v}) below the lane limit")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(primality, "_lane_bpsw", lane_spy)
+        patch.setattr(primality, "classify", classify_spy)
+        got = kernel_chunk(state, lo, hi)
+    assert got == brute_force_chunk(s, lo, hi)
+    # f is tested at every n whose n is prime and f(n) >= 2
+    assert {v for v in values if v >= 2} & set(laned)
+    assert {v for n, v in zip(range(lo, hi + 1), values)
+            if v >= 2 and is_prime(n)} <= set(laned)
 
 
 @pytest.mark.parametrize("texts,first", [
@@ -546,16 +577,19 @@ def test_invariance_across_the_int64_limit(texts, cps):
 def test_kernel_raises_past_the_128_bit_range():
     # f = n^3 (n - 2^30)^2 + 1: f(2^30 + 1) = 2^90 + 1 passes count_series'
     # upfront check at x = 2^30 + 1, yet f(2^23) is about 2^129.  The window
-    # lies in the direct range, so every value reaches _admit.
+    # lies in the direct range, so every value is tested.
     f = (1, 0, 0, 2**60, -2**31, 1)
     window = (2**23, 2**23 + 15)
     with pytest.raises(RangeOverflowError, match="n=8388608"):
         counting._process_chunk_state(((f,), [], 0, 2**30), window)
-    # g = n - (2^23 + 101) is below 2 on the window; placed first, it stops
-    # _admit before f's value is checked
+    # g = n - (2^23 + 101) is below 2 on the window.  Values are decided in
+    # the system's order: placed first, g fails every n before f's value
+    # is checked; placed second, it comes too late to stop f's guard.
     g = (-(2**23 + 101), 1)
     assert counting._process_chunk_state(((g, f), [], 0, 2**30),
                                          window) == (array("q"), None)
+    with pytest.raises(RangeOverflowError, match="n=8388608"):
+        counting._process_chunk_state(((f, g), [], 0, 2**30), window)
 
 
 def test_triage_matches_brute_force_on_random_systems():

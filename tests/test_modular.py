@@ -444,12 +444,22 @@ def _quadratic_with_discriminant(d):
     return ((-d // 4, 0, 1) if d % 4 == 0 else ((1 - d) // 4, 1, 1))
 
 
+@pytest.fixture
+def fresh_jacobi_tables():
+    """Empty primality._jacobi_table's cache before and after the test, so
+    that a patched symbol reaches the tables and no table built by it
+    outlives the test."""
+    primality._jacobi_table.cache_clear()
+    yield
+    primality._jacobi_table.cache_clear()
+
+
 @pytest.mark.parametrize("d", [
     1, -3, -4, 5, 8, 12, -24,
-    8189, -8192,  # |D| <= _LANES: gathered from a table
+    8189, -8192,  # |D| <= _LANES: gathered from one cached table
     8193, -8196,  # |D| > _LANES: the lane Kronecker symbol of D mod p
 ])
-def test_tabled_symbol_matches_kronecker(d, monkeypatch):
+def test_tabled_symbol_matches_kronecker(d, monkeypatch, fresh_jacobi_tables):
     symbol = primality._lane_kronecker
     moduli = []
 
@@ -468,8 +478,9 @@ def test_tabled_symbol_matches_kronecker(d, monkeypatch):
             [i for i, q in enumerate(batch) if d % q == 0]
         assert split.tolist() == \
             [kronecker(d, q) == 1 for q in np.array(batch)[lanes].tolist()]
+    # one table of (D|m), m in [|D|, 2|D|), serves both batches
     tabled = [len(m) == abs(d) and m[0] == abs(d) for m in moduli]
-    assert tabled == [abs(d) <= modular._LANES] * 2
+    assert tabled == ([True] if abs(d) <= modular._LANES else [False] * 2)
 
 
 @pytest.mark.parametrize("c", [
@@ -635,7 +646,8 @@ def test_root_counts_match_root_count(text, monkeypatch):
     assert dtypes == [np.int64, object]
 
 
-def test_root_counts_raise_when_legendre_symbol_fails(monkeypatch):
+def test_root_counts_raise_when_legendre_symbol_fails(monkeypatch,
+                                                     fresh_jacobi_tables):
     # p does not divide D in these lanes, so a symbol 0 is a fault
     monkeypatch.setattr(primality, "_lane_kronecker",
                         lambda a, m: np.zeros_like(m))
@@ -645,7 +657,8 @@ def test_root_counts_raise_when_legendre_symbol_fails(monkeypatch):
                                  np.array(batch, dtype=np.int64))
 
 
-def test_root_table_raises_when_legendre_symbol_is_flipped(monkeypatch):
+def test_root_table_raises_when_legendre_symbol_is_flipped(
+        monkeypatch, fresh_jacobi_tables):
     # every nonresidue lane now claims two roots: caught by s^2 = D
     symbol = primality._lane_kronecker
     monkeypatch.setattr(primality, "_lane_kronecker",

@@ -382,3 +382,15 @@ def test_lane_strong_lucas_matches_the_scalar_test():
     got = primality._lane_strong_lucas(np.array(values, dtype=np.int64))
     assert [v for v, g in zip(values, got.tolist())
             if g != _strong_lucas(v)] == []
+
+
+def test_jacobi_table_period_matches_kronecker():
+    # a discriminant (D = 0 or 1 mod 4) is tabled over its period |D| for
+    # every n > 0; any other D over 4|D|, for odd n only
+    for D in [d for d in range(-41, 42) if d]:
+        table = primality._jacobi_table(D)
+        assert table.dtype == np.int8
+        assert table.size == (abs(D) if D % 4 in (0, 1) else 4 * abs(D))
+        ns = range(1, 8 * abs(D) + 8, 1 if D % 4 in (0, 1) else 2)
+        assert [int(table[n % table.size]) for n in ns] == \
+            [primality.kronecker(D, n) for n in ns], D
