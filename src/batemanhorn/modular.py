@@ -4,8 +4,7 @@ The root count omega(p) of the system's product polynomial drives every local
 factor of the Euler product, and explicit root lists drive the counting
 engine's pre-sieve.  Degree 1 has a closed form, and degree 2 reads the
 count off a Kronecker symbol of the discriminant D (sqrt_mod of D lists the
-roots: the (p+1)/4 exponent for p = 3 (mod 4), Atkin's formula for p = 5
-(mod 8), else Tonelli-Shanks with a tabled nonresidue).
+roots, by Tonelli-Shanks with a tabled nonresidue at every odd prime).
 Higher degrees take g_1 = gcd(x^p - x, f) over GF(p), the first step of
 _gfpoly.distinct_degree: its degree is the count, and equal-degree
 splitting of it lists the roots at every p > 3.  At p <= 3 the residues
@@ -26,7 +25,7 @@ and a lane gcd: its degree is omega, and _lane_linear_roots lists its
 roots, reading each linear factor's root off, solving each quadratic one
 by the formula and splitting larger ones by Cantor-Zassenhaus in the same
 lanes.  On a 2-core Xeon, CPython 3.11, numpy 2.4, the root table of
-6n^2+1 takes 0.13 s at B = 2,449,490 and 1.6-1.8 s at B = 2^25.
+6n^2+1 takes 0.09-0.10 s at B = 2,449,490 and 1.1-1.25 s at B = 2^25.
 """
 
 from __future__ import annotations
@@ -44,6 +43,7 @@ from .primality import kronecker
 _LANES = 1 << 13  # primes per batch of _root_table and the Euler product
 _LANE_LIMIT = 1 << 31  # int64 lanes below it, products below 2^62
 _G1_LANES = 1 << 11  # primes per sub-batch of _lane_g1
+_NO_NONRESIDUE = "no odd prime below 1000 is a nonresidue mod p"
 
 
 @dataclass(frozen=True)
@@ -72,33 +72,34 @@ def sqrt_mod(a: int, p: int) -> int | None:
 
 
 def _sqrt_mod(a: int, p: int) -> int | None:
-    """sqrt_mod for a p already known to be prime.
-
-    a^((p+1)/4) when p = 3 (mod 4); when p = 5 (mod 8), Atkin's a b (2ab^2 - 1)
-    with b = (2a)^((p-5)/8), as 2ab^2 is a root of -1 (Atkin 1992; Mueller,
-    Des. Codes Cryptogr. 31, 2004); else Tonelli-Shanks (Tonelli 1891;
-    Shanks 1973; Cohen, A Course in Computational Algebraic Number Theory,
-    Alg. 1.5.1): with p - 1 = 2^e d, x = a^((d+1)/2), b = a^d, c = z^d for
-    the nonresidue z of _nonresidue, and for k = e-1 down to 1, x <- x c and
-    b <- b c^2 if b^(2^(k-1)) != 1, then c <- c^2.  x^2 = a b throughout,
-    and at step k b's order divides 2^k and c's is 2^(k+1), so b ends at 1.
-    _tonelli_shanks takes these steps in lanes, hence _lane_sqrt's root.
+    """sqrt_mod for a p already known to be prime, by Tonelli-Shanks
+    (Tonelli 1891; Shanks 1973; Cohen, A Course in Computational Algebraic
+    Number Theory, Alg. 1.5.1): with p - 1 = 2^e d, x = a^((d+1)/2) and
+    b = a^d, so x^2 = a b; where e >= 2, c = z^d for the least odd prime z
+    with (z|p) = -1, read from primality._jacobi_table(z), and for k = e-1
+    down to 1, x <- x c and b <- b c^2 if b^(2^(k-1)) != 1, then c <- c^2.
+    At step k b's order divides 2^k and c's is 2^(k+1), so b ends at 1.  At
+    p = 2 and p = 3 (mod 4), e <= 1: no step runs, no z is read and the root
+    is a^((p+1)/4).  _lane_sqrt takes the same steps in lanes, hence its
+    root.
     """
     a %= p
     if a == 0:
         return 0
     if pow(a, (p - 1) // 2, p) != 1:
         return None
-    if p % 4 != 1:  # 3 (mod 4), or p = 2 with a = 1
-        return pow(a, (p + 1) // 4, p)
-    if p % 8 == 5:
-        b = pow(2 * a, (p - 5) // 8, p)
-        return a * b * (2 * a * b * b - 1) % p
     e = ((p - 1) & (1 - p)).bit_length() - 1
-    z = int(_nonresidue(np.array([p], dtype=object))[0])
     y = pow(a, (p - 1) >> (e + 1), p)  # a^((d-1)/2)
     x = a * y % p
-    b, c = x * y % p, pow(z, (p - 1) >> e, p)
+    b = x * y % p
+    if e >= 2:
+        for z in primality._TRIAL_PRIMES[1:]:
+            table = primality._jacobi_table(z)
+            if table[p % table.size] == -1:
+                break
+        else:
+            raise ArithmeticError(_NO_NONRESIDUE)
+        c = pow(z, (p - 1) >> e, p)
     for k in range(e - 1, 0, -1):
         if pow(b, 1 << (k - 1), p) != 1:
             x, b = x * c % p, b * c % p * c % p
@@ -543,29 +544,17 @@ def _lane_degree(a: np.ndarray) -> np.ndarray:
 
 
 def _lane_sqrt(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """A square root of each quadratic residue a modulo odd prime p: by
-    _sqrt_mod's steps (_tonelli_shanks at p = 1 (mod 8)), so its root."""
-    s = np.empty_like(p)
-    easy = p % 4 == 3
-    s[easy] = _lane_pow(a[easy], (p[easy] + 1) // 4, p[easy])
-    atkin = p % 8 == 5
-    q, x = p[atkin], a[atkin]
-    b = _lane_pow(2 * x % q, (q - 5) // 8, q)
-    s[atkin] = x * b % q * ((2 * x % q * b % q * b - 1) % q) % q
-    tonelli = p % 8 == 1
-    s[tonelli] = _tonelli_shanks(a[tonelli], p[tonelli])
-    return s
-
-
-def _tonelli_shanks(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """_sqrt_mod's Tonelli-Shanks root of the residue a modulo each prime
-    p = 1 (mod 4) of a _lane_array.  Step k runs on the lanes with e > k
-    only, so no lane waits on the largest e."""
+    """_sqrt_mod's root of each quadratic residue a modulo each odd prime p
+    of a _lane_array, by the same steps.  c is taken only in the lanes with
+    e >= 2, and step k runs on the lanes with e > k only, so no lane waits
+    on the largest e."""
     e = primality._trailing_zeros(p - 1)
     d = (p - 1) >> e
     y = _lane_pow(a, d >> 1, p)
     x = a * y % p
-    b, c = x * y % p, _lane_pow(_nonresidue(p), d, p)
+    b, c = x * y % p, np.zeros_like(p)
+    w = e >= 2
+    c[w] = _lane_pow(_nonresidue(p[w]), d[w], p[w])
     for k in range(int(e.max(initial=0)) - 1, 0, -1):
         i = np.flatnonzero(e > k)
         q, t = p[i], b[i]
@@ -582,14 +571,17 @@ def _nonresidue(p: np.ndarray) -> np.ndarray:
     """The least odd prime z with (z|p) = -1 at each odd prime p of an int64
     or object array: by reciprocity (z|n) depends on odd n only mod 4z (z
     if z = 1 mod 4), so it is read from one cached table per z,
-    primality._jacobi_table(z).  ArithmeticError if no odd prime below 1000
-    qualifies."""
+    primality._jacobi_table(z); an empty p reads none.  ArithmeticError if
+    no odd prime below 1000 qualifies."""
     z = np.zeros_like(p)
     todo = np.arange(p.size)
     for q in primality._TRIAL_PRIMES[1:]:
+        if not todo.size:
+            return z
         table = primality._jacobi_table(q)
         hit = table[(p[todo] % table.size).astype(np.int64)]
         z[todo[hit == -1]] = q
-        if not (todo := todo[hit != -1]).size:
-            return z
-    raise ArithmeticError("no odd prime below 1000 is a nonresidue mod p")
+        todo = todo[hit != -1]
+    if todo.size:
+        raise ArithmeticError(_NO_NONRESIDUE)
+    return z

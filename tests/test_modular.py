@@ -29,8 +29,8 @@ PRIMES_TO_997 = [int(p) for p in np.flatnonzero(simple_sieve(997))]
 EDGE_PRIMES = [2147483659, 4294967291, 4294967311, 1099511627689]
 # one int64 batch and one object batch above 2^31: n^2+1 has no root mod
 # 2147483659 (3 mod 4), n^3+2 three roots mod 2147483869 and one mod
-# 2147483693 and 4294967291, and 6n^2+1 two mod 2147483713 (1 mod 8), where
-# its root takes Tonelli-Shanks
+# 2147483693 and 4294967291, and 6n^2+1 two mod 2147483713 (p - 1 = 2^6 d),
+# where its root reads a nonresidue and takes five Tonelli-Shanks steps
 FAULT_BATCHES = [PRIMES_TO_997[2:],
                  [2147483659, 2147483693, 2147483713, 2147483869,
                   4294967291]]
@@ -376,10 +376,8 @@ TONELLI_PRIMES = [2013265921, 469762049, 65537, 22000801, 48473881,
 
 
 def test_sqrt_mod_equals_lane_sqrt():
-    # The scalar and lane forms take the same steps, hence the same root,
-    # and sympy lists both roots independently.
-    sympy_sqrt_mod = pytest.importorskip(
-        "sympy.ntheory.residue_ntheory").sqrt_mod
+    # The scalar and lane forms take the same steps, hence the same root;
+    # sympy, if installed, lists both roots independently.
     rng = random.Random(7)
     p = np.array([q for q in primes_up_to(10**5) if q >= 5], dtype=np.int64)
     a = np.array([pow(rng.randrange(1, q), 2, q) for q in p.tolist()],
@@ -387,24 +385,40 @@ def test_sqrt_mod_equals_lane_sqrt():
     lanes = modular._lane_sqrt(a, p)
     assert lanes.tolist() == [sqrt_mod(x, q) for x, q in
                               zip(a.tolist(), p.tolist())]
-    for s, x, q in zip(lanes.tolist(), a.tolist(), p.tolist()):
-        assert s * s % q == x
-        assert sorted({s, q - s}) == sympy_sqrt_mod(x, q, all_roots=True)
-    # Atkin's p = 5 (mod 8) lanes give the scalar root
-    atkin = p % 8 == 5
-    assert atkin.sum() > 1000
-    assert lanes[atkin].tolist() == [modular._sqrt_mod(x, q) for x, q in
-                                     zip(a[atkin].tolist(), p[atkin].tolist())]
+    found = list(zip(lanes.tolist(), a.tolist(), p.tolist()))
+    # e = 2 (p = 5 (mod 8)): x = a^((p+3)/8), times z^((p-1)/4) for the
+    # least odd prime nonresidue z where x^2 = -a; both occur
+    five = np.flatnonzero(p % 8 == 5)
+    assert five.size > 1000
+    z = modular._nonresidue(p[five]).tolist()
+    flips = 0
+    for s, x, q, zq in zip(lanes[five].tolist(), a[five].tolist(),
+                           p[five].tolist(), z):
+        assert pow(zq, (q - 1) // 2, q) == q - 1
+        root = pow(x, (q + 3) // 8, q)
+        if root * root % q != x:
+            root, flips = root * pow(zq, (q - 1) // 4, q) % q, flips + 1
+        assert s == root
+    assert 0 < flips < five.size
+    # e = 1 (p = 3 (mod 4)): a^((p+1)/4), in the lanes above and at every
+    # residue of the first 40 such primes
+    three = p % 4 == 3
+    assert lanes[three].tolist() == [
+        pow(x, (q + 1) // 4, q) for x, q in zip(a[three].tolist(),
+                                                p[three].tolist())]
+    for q in p[three].tolist()[:40]:
+        assert all(sqrt_mod(x, q) == pow(x, (q + 1) // 4, q)
+                   for x in range(1, q) if pow(x, (q - 1) // 2, q) == 1)
     # Tonelli-Shanks's hard cases, in int64 lanes below 2^31 and the same
     # primes again in object lanes; object lanes at primes = 1 and = 5
-    # (mod 8) just above 2^31 and the last edge prime (= 1 (mod 8)); the
-    # two batches after them have no p = 1 (mod 8) lane, so
-    # _tonelli_shanks gets empty arrays
+    # (mod 8) just above 2^31 and the last edge prime (= 1 (mod 8)); int64
+    # lanes with e = 1 only, so _nonresidue gets an empty array, and
+    # object lanes with e = 1 and 2
     for batch, dtype in ((TONELLI_PRIMES[:6], np.int64),
                          (TONELLI_PRIMES, object),
                          ([2147483693, 2147483813, EDGE_PRIMES[-1]], object),
-                         ([q for q in primes_up_to(10**4)
-                           if q >= 5 and q % 8 != 1], np.int64),
+                         ([q for q in primes_up_to(10**4) if q % 4 == 3],
+                          np.int64),
                          ([2147483659, 2147483693, 2147483813], object)):
         primes = [q for q in batch for _ in range(16)]
         p = np.array(primes, dtype=np.int64).astype(dtype)
@@ -414,9 +428,38 @@ def test_sqrt_mod_equals_lane_sqrt():
         assert lanes.dtype == p.dtype
         assert lanes.tolist() == [sqrt_mod(x, q) for x, q in
                                   zip(a.tolist(), primes)]
-        for s, x, q in zip(lanes.tolist(), a.tolist(), primes):
-            assert s * s % q == x
-            assert sorted({s, q - s}) == sympy_sqrt_mod(x, q, all_roots=True)
+        found += zip(lanes.tolist(), a.tolist(), primes)
+    for s, x, q in found:
+        assert s * s % q == x
+    sympy_sqrt_mod = pytest.importorskip(
+        "sympy.ntheory.residue_ntheory").sqrt_mod
+    for s, x, q in found:
+        assert sorted({s, q - s}) == sympy_sqrt_mod(x, q, all_roots=True)
+
+
+def test_sqrt_mod_reads_a_nonresidue_only_where_e_is_at_least_2(
+        monkeypatch):
+    # p = 2 and p = 3 (mod 4) have e <= 1 in p - 1 = 2^e d: neither form
+    # reads a (z|p) table; every p = 1 (mod 4) reads at least one
+    read = []
+    table = primality._jacobi_table
+    monkeypatch.setattr(primality, "_jacobi_table",
+                        lambda D: read.append(D) or table(D))
+    three = [q for q in primes_up_to(10**4) if q % 4 == 3]
+    for q in [2] + three:
+        for x in range(min(q, 50)):
+            modular._sqrt_mod(x, q)
+    for p in (np.array(three), np.array(three + [2147483659], dtype=object)):
+        modular._lane_sqrt(p % p, p)
+        modular._lane_sqrt(np.ones_like(p), p)
+    assert read == []
+    assert modular._nonresidue(np.array([], dtype=np.int64)).size == 0
+    assert read == []
+    assert modular._sqrt_mod(4, 5) == 2
+    assert read == [3]
+    assert modular._lane_sqrt(np.array([4, 4]), np.array([7, 5])).tolist() \
+        == [2, 2]
+    assert read == [3, 3]
 
 
 def test_nonresidue_is_the_least_odd_prime_nonresidue():
@@ -430,9 +473,12 @@ def test_nonresidue_is_the_least_odd_prime_nonresidue():
         assert all(pow(r, (q - 1) // 2, q) == 1
                    for r in PRIMES_TO_997[1:] if r < zq)
     assert modular._nonresidue(p.astype(object)).tolist() == z
-    # (q|1) = 1 for every q, so no odd prime qualifies
+    # (q|1) = 1 for every q, and (q|9) = 1 or 0, so no odd prime
+    # qualifies; 9 - 1 = 2^3, so the scalar form reads the tables too
     with pytest.raises(ArithmeticError, match="nonresidue"):
         modular._nonresidue(np.array([1], dtype=np.int64))
+    with pytest.raises(ArithmeticError, match="nonresidue"):
+        modular._sqrt_mod(1, 9)
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +717,7 @@ def test_root_table_raises_when_legendre_symbol_is_flipped(
 
 def test_root_table_raises_when_the_nonresidue_is_a_residue(monkeypatch):
     # z^2 in place of z: Tonelli-Shanks's c then misses the order it needs,
-    # caught by s^2 = D in the p = 1 (mod 8) lanes
+    # caught by s^2 = D in the p = 1 (mod 4) lanes
     monkeypatch.setattr(modular, *_corrupt(
         "_nonresidue", lambda out, p: out * out % p))
     for batch in FAULT_BATCHES:

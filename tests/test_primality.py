@@ -369,6 +369,20 @@ def test_lane_bpsw_mixed_bit_lengths_and_empty():
     assert empty.dtype == bool and empty.size == 0
 
 
+def test_lane_mod_on_constructed_remainders():
+    # the ends of the window (-n, 2n) and the remainders about 2^63, at
+    # the largest lane n, at n - 2 and at 2^62 + 2^60 + 1: a reduction of u
+    # as int64 goes wrong on r in [2^63, 2n), which random products almost
+    # never reach
+    for n in (2**64 // 3, 2**64 // 3 - 2, 2**62 + 2**60 + 1):
+        rs = [-n + 1, -1, 0, n - 1, n, 2**63 - 1, 2**63, 2 * n - 1]
+        assert all(-n < r < 2 * n for r in rs)
+        u = np.array([r % 2**64 for r in rs], dtype=np.uint64)
+        got = primality._lane_mod(u, np.full(u.size, n, dtype=np.uint64))
+        assert got.dtype == np.uint64
+        assert got.tolist() == [r % n for r in rs]
+
+
 # An operand left outside [0, n) shows as an invalid cast in _lane_mul.
 @pytest.mark.filterwarnings("error")
 def test_lane_strong_lucas_matches_the_scalar_test():
