@@ -194,7 +194,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--cap", type=_int_arg, default=10**7,
                    help="largest x to recompute (default 1e7)")
     p.add_argument("--full", action="store_true", help="run every reference "
-                   "row (about 1 min for table 1, 3.5 for table 2, 2 cores)")
+                   "row (~45 s for table 1, ~2.6 min for table 2, 2 cores)")
     p.add_argument("--tol", type=float, default=quadrature.DEFAULT_TOL)
     add_engine_opts(p)
     p.set_defaults(func=cmd_reproduce)
@@ -360,8 +360,8 @@ def cmd_reproduce(args) -> int:
     max_x = reference[-1][0]
     cap = max_x if args.full else min(args.cap, max_x)
     if args.full:
-        print("warning: --full recomputes every reference row, about 1 min "
-              "(table 1) or 3.5 min (table 2) on 2 workers", file=sys.stderr)
+        print("warning: --full recomputes every reference row, about 45 s "
+              "(table 1) or 2.6 min (table 2) on 2 workers", file=sys.stderr)
     rows = [r for r in reference if r[0] <= cap]
     if not rows:
         raise ValueError(f"cap {cap} excludes every reference row")

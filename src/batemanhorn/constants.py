@@ -154,13 +154,13 @@ def _euler_product(system: PolySystem, truncation: int,
     l_value, inside, prefactor = None, [], 1.0
     if d is not None:
         l_value = l_value_negative_fundamental(d)
-        p = np.array(sorted(primality.factorize(  # primes of any size
-            2 * f.leading_coefficient * -d)), dtype=object)
-        factor = _factors(p, modular._root_counts(f, p),
-                          primality._lane_kronecker(d, p), m)
+        p = sorted(primality.factorize(2 * f.leading_coefficient * -d))
+        factor = _factors(np.array(p, dtype=object),  # primes of any size
+                          np.array([modular._root_count(f, q) for q in p]),
+                          np.array([primality.kronecker(d, q) for q in p]), m)
         # in order from 1.0, as prefactor *= factor would, as Python floats
         prefactor = math.prod(factor.tolist(), start=1.0)
-        inside = p[p <= truncation]
+        inside = [q for q in p if q <= truncation]
     inside = np.array(inside, dtype=np.int64)
     tenth = truncation // 10
     prod = 1.0

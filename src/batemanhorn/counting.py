@@ -28,17 +28,18 @@ scatter per block of table entries.
 
 The automatic bound (presieve_bound None) follows what the table costs per
 prime, which the degrees decide.  Measured on a 2-core Xeon, CPython 3.11,
-numpy 2.4: degrees 1 and 2 are solved in numpy lanes at about 1.1 us a
-prime, as (D|p) and small inverses are read from tables.  A cubic's table
-costs about 10 us a prime (0.10 s for n^3+2 at B = 10^5), as g_1 =
-gcd(x^p - x, f) and its split both run in lanes.  A Baillie-PSW test of a
-prime value costs 4.6-7.4 us in blocks of 4096 lanes from 6e12 to 6.1e18,
-against 28-72 us one at a time there and 55-65 us near 2^64, past the lanes.
-So when every f_i has degree <= 2, B is capped only at 2^25: pi(2^25) =
-2,063,689 primes cost about 2 s and 16 MB for one quadratic, and the cap
-covers the full bound of `reproduce 2 --cap 1e7` (isqrt(6e14) + 1 =
-24,494,898), which then runs no primality test past n_star.  Otherwise the
-cap stays 1e5.  An explicit presieve_bound is an upper limit as before.
+numpy 2.4, in-process, as the range of 3-7 runs: degrees 1 and 2 are
+solved in numpy lanes at 0.7-0.9 us a prime, as (D|p) and small inverses
+are read from tables.  A cubic's table costs 7-8 us a prime (n^3+2 at
+B = 10^5), as g_1 = gcd(x^p - x, f) and its split both run in lanes.  A
+Baillie-PSW test of a prime value costs 3.3-4.7 us in blocks of 4096 lanes
+from 6e12 to 6.1e18, against 25-49 us one at a time there and about 40 us
+from 6.1e18 to past 2^64, beyond the lanes.  So when every f_i has degree
+<= 2, B is capped only at 2^25: the table of 6n^2+1 over its 2,063,689
+primes costs 1.35-1.8 s and 16.5 MB, and the cap covers the full bound of
+`reproduce 2 --cap 1e7` (isqrt(6e14) + 1 = 24,494,898), which then runs
+no primality test past n_star.  Otherwise the cap stays 1e5.  An explicit
+presieve_bound is an upper limit as before.
 
 Chunks are independent work units, so every chunk, direct or sieved, can
 run on a process pool; results merge by ordered integer sums and are

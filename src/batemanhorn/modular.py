@@ -12,24 +12,28 @@ are scanned.  kronecker is imported from primality, whose Lucas test
 needs it too.
 
 _root_table and _root_counts, the root lists and counts for a whole array
-of primes, solve every prime p > 3 that does not divide the leading
-coefficient in numpy lanes, int64 below 2^31 and exact Python ints above
-(_lane_array), and hand the rest to the scalar path.  Degree 1 and 2 lanes
-use the formulas above and the same square root (_lane_sqrt).  With
-integer coefficients and |D|, |c| <= _LANES, (D|p) is gathered at p mod
-|D| from one cached table per D and the inverse of a lead or of 2a at
-p mod |c| from a table; larger ones take binary reciprocity
-(primality._lane_kronecker) and a power.
+of primes, solve every prime 3 < p <= _LANE_LIMIT = isqrt(2^63 - 1) =
+3,037,000,499 that does not divide the leading coefficient in int64 numpy
+lanes, and hand the rest to the scalar path.  Every lane product is of two
+reduced residues, so it stays below p^2 < 2^63; the largest sums,
+acc * r + c in _lane_roots's check and xh + t * h in _lane_powmod, stay at
+or below p^2 + p < 2^63.  Degree 1 and 2 lanes use the formulas above and
+the same square root (_lane_sqrt).  With integer coefficients and |D|,
+|c| <= _LANES, (D|p) is gathered at p mod |D| from one cached table per D
+and the inverse of a lead or of 2a at p mod |c| from a table; larger ones
+take binary reciprocity (primality._lane_kronecker) and a power.
 Degree >= 3 lanes get g_1 from _lane_g1, x^p mod f by square-and-multiply
 and a lane gcd: its degree is omega, and _lane_linear_roots lists its
 roots, reading each linear factor's root off, solving each quadratic one
 by the formula and splitting larger ones by Cantor-Zassenhaus in the same
 lanes.  On a 2-core Xeon, CPython 3.11, numpy 2.4, the root table of
-6n^2+1 takes 0.09-0.10 s at B = 2,449,490 and 1.1-1.25 s at B = 2^25.
+6n^2+1 takes 0.12-0.15 s at B = 2,449,490 and 1.35-1.8 s at B = 2^25
+(the range of 5 in-process runs).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -41,7 +45,7 @@ from .poly import Polynomial, _eval_exact
 from .primality import kronecker
 
 _LANES = 1 << 13  # primes per batch of _root_table and the Euler product
-_LANE_LIMIT = 1 << 31  # int64 lanes below it, products below 2^62
+_LANE_LIMIT = math.isqrt(2**63 - 1)  # the largest lane prime
 _G1_LANES = 1 << 11  # primes per sub-batch of _lane_g1
 _NO_NONRESIDUE = "no odd prime below 1000 is a nonresidue mod p"
 
@@ -138,18 +142,18 @@ def _root_count(f: Polynomial, p: int) -> int:
 
 
 def _root_counts(f: Polynomial, p: np.ndarray) -> np.ndarray:
-    """_root_count of f at each prime of the int64 or object array p.
+    """_root_count of f at each prime of the int64 array p.
 
-    The lanes p > 3 where p divides neither the leading coefficient a nor,
-    for degree 2, the discriminant D are counted at once: 1 for degree 1,
-    1 + (D|p) by _lane_split for degree 2 and deg g_1 by _lane_g1 for
-    degree >= 3.  Every other prime goes through _root_count.
+    The lanes 3 < p <= _LANE_LIMIT where p divides neither the leading
+    coefficient a nor, for degree 2, the discriminant D are counted at
+    once: 1 for degree 1, 1 + (D|p) by _lane_split for degree 2 and deg g_1
+    by _lane_g1 for degree >= 3.  Every other prime goes through _root_count.
     """
     omega = np.empty_like(p)
-    scalar = p <= 3
+    scalar = (p <= 3) | (p > _LANE_LIMIT)
     lanes = np.flatnonzero(~scalar)
     if lanes.size:
-        q = _lane_array(p[lanes])
+        q = p[lanes]
         red = [c % q for c in f.coeffs]
         rest = red[-1] == 0
         count = np.zeros_like(q)
@@ -236,9 +240,9 @@ def _root_table(polys: Sequence[Polynomial], prime_arrays: Iterable[np.ndarray]
 
     The arrays are int32 while every p is below 2^31, int64 beyond.  Lanes
     are solved in batches of 2^13 primes by _lane_roots; the primes p <= 3
-    and those it leaves go through _roots_of_reduced, one at a time.  Each
-    batch is narrowed before its segment's one concatenation, so the table
-    never exists twice.
+    or p > _LANE_LIMIT and those it leaves go through _roots_of_reduced, one
+    at a time.  Each batch is narrowed before its segment's one
+    concatenation, so the table never exists twice.
     """
     table = []
     for primes in prime_arrays:
@@ -256,12 +260,12 @@ def _batch_roots(polys: Sequence[Polynomial], primes: np.ndarray
     ps, rs = [], []
     scalar_p, scalar_r = [], []
     for f in polys:
-        scalar = p <= 3
+        scalar = (p <= 3) | (p > _LANE_LIMIT)
         lanes = np.flatnonzero(~scalar)
         if lanes.size:
-            q, r, rest = _lane_roots(f.coeffs, _lane_array(p[lanes]))
-            ps.append(q.astype(np.int64, copy=False))
-            rs.append(r.astype(np.int64, copy=False))
+            q, r, rest = _lane_roots(f.coeffs, p[lanes])
+            ps.append(q)
+            rs.append(r)
             scalar[lanes[rest]] = True
         for q in p[scalar].tolist():
             roots = _roots_of_reduced(_reduce(f, q), q)
@@ -274,23 +278,18 @@ def _batch_roots(polys: Sequence[Polynomial], primes: np.ndarray
     new = np.ones(p.size, dtype=bool)
     new[1:] = (p[1:] != p[:-1]) | (r[1:] != r[:-1])
     p, r = p[new], r[new]
-    dtype = np.int64 if primes.max() >= _LANE_LIMIT else np.int32
+    dtype = np.int32 if primes.max() < 1 << 31 else np.int64
     return p.astype(dtype, copy=False), r.astype(dtype, copy=False)
-
-
-def _lane_array(p: np.ndarray) -> np.ndarray:
-    """p as int64 lanes below 2^31, else as exact Python ints (object)."""
-    return p if p.max() < _LANE_LIMIT else p.astype(object)
 
 
 def _lane_roots(coeffs: Sequence, p: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Roots of a polynomial modulo each prime p > 3 of a _lane_array.
+    """Roots of a polynomial modulo each int64 prime 3 < p <= _LANE_LIMIT.
 
     coeffs are ints, except that a quadratic factor's c and b may be
-    arrays of p's dtype with one value per lane (_lane_linear_roots).
-    Returns (q, r) in p's dtype, one entry per root found, and the mask of
-    the lanes of p left to the scalar path: p divides the leading
+    int64 arrays with one value per lane (_lane_linear_roots).  Returns
+    (q, r), one entry per root found, and the mask of the lanes of p left
+    to the scalar path: p divides the leading
     coefficient or, for degree 2, the discriminant D.  Degree >= 3 takes
     g_1 = gcd(x^p - x, f) from _lane_g1 and its roots from
     _lane_linear_roots; each prime must get deg g_1 roots.  Every root is
@@ -341,7 +340,7 @@ def _lane_linear_roots(g: np.ndarray, deg: np.ndarray, p: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray]:
     """(q, r) for each root r mod q of g, of shape (m, lanes), monic of
     degree deg < m and a product of distinct linear factors modulo each
-    prime p > 3 of a _lane_array: _split_linear_product in lanes.
+    int64 prime 3 < p <= _LANE_LIMIT: _split_linear_product in lanes.
 
     A linear factor x + g_0 is read as the root -g_0, and a quadratic one
     passed on to _lane_roots as (g_0, g_1, 1).  The others split by
@@ -383,7 +382,7 @@ def _lane_linear_roots(g: np.ndarray, deg: np.ndarray, p: np.ndarray
 def _lane_split(coeffs: Sequence, red: list[np.ndarray], p: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Whether a quadratic with coefficients coeffs, red = (c, b, a) mod each
-    prime p > 3 of a _lane_array, splits, by the Legendre symbol (D|p) of
+    int64 prime 3 < p <= _LANE_LIMIT, splits, by the Legendre symbol (D|p) of
     its discriminant D: for integers with 0 < |D| <= _LANES read at
     p % |D| from the table cached per D, primality._jacobi_table(D), else
     by the lane Kronecker symbol of D mod p.
@@ -394,7 +393,7 @@ def _lane_split(coeffs: Sequence, red: list[np.ndarray], p: np.ndarray
     dividing D rules out, so an arithmetic fault cannot pass silently.
     """
     c, b, a = red
-    disc = (b * b - 4 * a % p * c) % p  # int64: every product below 2^62
+    disc = (b * b - 4 * a % p * c) % p
     rest = (a == 0) | (disc == 0)
     lanes = np.flatnonzero(~rest)
     q, disc = p[lanes], disc[lanes]
@@ -402,7 +401,7 @@ def _lane_split(coeffs: Sequence, red: list[np.ndarray], p: np.ndarray
     d = b * b - 4 * a * c if isinstance(c, int) else 0
     if 0 < abs(d) <= _LANES:
         table = primality._jacobi_table(d)
-        sym = table[(q % table.size).astype(np.int64)]
+        sym = table[q % table.size]
     else:
         sym = primality._lane_kronecker(disc, q)
     if np.any(sym == 0):
@@ -423,7 +422,7 @@ def _lane_pow(base: np.ndarray, exp: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def _lane_inverse(c: int, a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """1/a mod each prime p > 3 of a _lane_array, for a = c mod p a unit
+    """1/a mod each int64 prime 3 < p <= _LANE_LIMIT, for a = c mod p a unit
     and c a nonzero integer: for |c| <= _LANES, 1/c from the cached residue
     table of primality._lane_unit_inverse; else a^(p-2) by _lane_pow."""
     if abs(c) > _LANES:
@@ -433,13 +432,13 @@ def _lane_inverse(c: int, a: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def _lane_g1(coeffs: Sequence[int], p: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray]:
-    """g_1 = gcd(x^p - x, f) for f of degree d >= 3 modulo each prime p > 3
-    of a _lane_array that does not divide its leading coefficient: the
+    """g_1 = gcd(x^p - x, f) for f of degree d >= 3 modulo each int64 prime
+    3 < p <= _LANE_LIMIT that does not divide its leading coefficient: the
     first step of _gfpoly.distinct_degree in numpy lanes.
 
-    Returns g_1, monic, in p's dtype and shape (d + 1, lanes) in ascending
-    order, and its degree per lane.  The lanes run _G1_LANES at a time, so
-    every temporary stays small.  x^p mod f must satisfy f(x^p) = 0
+    Returns g_1, monic, in shape (d + 1, lanes) in ascending order, and
+    its degree per lane.  The lanes run _G1_LANES at a time, so every
+    temporary stays small.  x^p mod f must satisfy f(x^p) = 0
     (mod f), since Frobenius fixes f's coefficients, and g_1 must divide
     both f and x^p - x mod f; a failed check raises ArithmeticError.
     """
@@ -544,10 +543,10 @@ def _lane_degree(a: np.ndarray) -> np.ndarray:
 
 
 def _lane_sqrt(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """_sqrt_mod's root of each quadratic residue a modulo each odd prime p
-    of a _lane_array, by the same steps.  c is taken only in the lanes with
-    e >= 2, and step k runs on the lanes with e > k only, so no lane waits
-    on the largest e."""
+    """_sqrt_mod's root of each quadratic residue a modulo each odd int64
+    prime p <= _LANE_LIMIT, by the same steps.  c is taken only in the lanes
+    with e >= 2, and step k runs on the lanes with e > k only, so no lane
+    waits on the largest e."""
     e = primality._trailing_zeros(p - 1)
     d = (p - 1) >> e
     y = _lane_pow(a, d >> 1, p)
@@ -569,8 +568,8 @@ def _lane_sqrt(a: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def _nonresidue(p: np.ndarray) -> np.ndarray:
     """The least odd prime z with (z|p) = -1 at each odd prime p of an int64
-    or object array: by reciprocity (z|n) depends on odd n only mod 4z (z
-    if z = 1 mod 4), so it is read from one cached table per z,
+    array: by reciprocity (z|n) depends on odd n only mod 4z (z if
+    z = 1 mod 4), so it is read from one cached table per z,
     primality._jacobi_table(z); an empty p reads none.  ArithmeticError if
     no odd prime below 1000 qualifies."""
     z = np.zeros_like(p)
@@ -579,7 +578,7 @@ def _nonresidue(p: np.ndarray) -> np.ndarray:
         if not todo.size:
             return z
         table = primality._jacobi_table(q)
-        hit = table[(p[todo] % table.size).astype(np.int64)]
+        hit = table[p[todo] % table.size]
         z[todo[hit == -1]] = q
         todo = todo[hit != -1]
     if todo.size:

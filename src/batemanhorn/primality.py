@@ -165,10 +165,10 @@ def kronecker(a: int, m: int) -> int:
 
 
 def _lane_kronecker(a: int | np.ndarray, m: np.ndarray) -> np.ndarray:
-    """kronecker(a, m) as int64 at each m > 0 of an int64 or object array,
-    by the same binary reciprocity steps (Cohen, Alg. 1.4.10) in numpy
-    lanes; a is an int or an array of m's dtype, one value per lane (in
-    int64 range for int64 m).  A lane leaves when its remainder is 0."""
+    """kronecker(a, m) as int64 at each m > 0 of an int64 array, by the
+    same binary reciprocity steps (Cohen, Alg. 1.4.10) in numpy lanes; a is
+    an int in int64 range or an int64 array, one value per lane.  A lane
+    leaves when its remainder is 0."""
     result = np.ones(m.shape, dtype=np.int64)
     tz = _trailing_zeros(m)
     result[(tz > 0) & (a % 2 == 0)] = 0
@@ -191,7 +191,7 @@ def _lane_kronecker(a: int | np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def _trailing_zeros(v: np.ndarray) -> np.ndarray:
-    """The exponent of 2 in each v > 0, int64 or Python ints (-1 at 0)."""
+    """The exponent of 2 in each v > 0 of an int64 array (-1 at 0)."""
     return np.frexp((v & -v).astype(float))[1] - 1  # 2^k is exact in float64
 
 
@@ -440,11 +440,11 @@ def _unit_inverse_table(m: int) -> np.ndarray:
 
 
 def _lane_unit_inverse(q: int, n: np.ndarray) -> np.ndarray:
-    """1/q mod each odd n > 1 of an int64 or object array, in [1, n), or -1
+    """1/q mod each odd n > 1 of an int64 array, in [1, n), or -1
     where gcd(q, n) > 1: with n = |q| a + b, (1 + k n) / |q| = k a +
     (1 + k b) / |q| for k = -1/n mod |q| = _unit_inverse_table(|q|)[b]."""
     m = abs(q)
-    a, b = n // m, (n % m).astype(np.int64)
+    a, b = n // m, n % m
     k = _unit_inverse_table(m)[b]
     inv = k * a + (1 + k * b) // m
     inv = inv if q > 0 else n - inv

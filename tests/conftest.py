@@ -5,9 +5,23 @@ test_acceptance.py records one verdict per acceptance criterion through the
 lines so a full run ends with a per-criterion scoreboard.
 """
 
+import os
+from pathlib import Path
+
 import pytest
 
 _RESULTS: list[tuple[str, bool, str]] = []
+
+
+@pytest.fixture
+def src_env():
+    """os.environ with this checkout's src/ first on PYTHONPATH, so that a
+    subprocess imports the package under test whether or not it is
+    installed."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ,
+                PYTHONPATH=src + os.pathsep + path if path else src)
 
 
 @pytest.fixture

@@ -322,13 +322,13 @@ def test_help_exits_0(capsys):
     assert "--checkpoints" in out
 
 
-def test_module_entry_point_warning_names_main():
+def test_module_entry_point_warning_names_main(src_env):
     # under python -m the first frame outside the package is runpy's
     # frozen bootstrap, which has no source line to show
     proc = subprocess.run(
         [sys.executable, "-W", "always", "-m", "batemanhorn", "constant",
          "--poly", "n^4+1", "--truncate", "100"],
-        capture_output=True, text=True, timeout=120)
+        env=src_env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "<frozen" not in proc.stderr
     path, line = proc.stderr.split(": UserWarning")[0].rsplit(":", 1)
@@ -336,10 +336,10 @@ def test_module_entry_point_warning_names_main():
     assert os.path.isfile(path) and int(line) > 0
 
 
-def test_module_entry_point():
+def test_module_entry_point(src_env):
     proc = subprocess.run(
         [sys.executable, "-m", "batemanhorn", "count", "--poly", "n",
          "--x", "30", "--workers", "1", "--format", "csv"],
-        capture_output=True, text=True, timeout=120)
+        env=src_env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "30,10" in proc.stdout

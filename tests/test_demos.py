@@ -1,6 +1,5 @@
 """Each demo script runs to completion against the package in src/."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,11 +11,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
-def test_demo_runs(demo):
-    src = str(ROOT / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ,
-               PYTHONPATH=src + os.pathsep + path if path else src)
-    result = subprocess.run([sys.executable, str(demo)], env=env,
+def test_demo_runs(demo, src_env):
+    result = subprocess.run([sys.executable, str(demo)], env=src_env,
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr

@@ -24,16 +24,24 @@ from batemanhorn.poly import _inadmissibility_witness
 from batemanhorn.primality import _lane_kronecker, _prime_segments
 
 PRIMES_TO_997 = [int(p) for p in np.flatnonzero(simple_sieve(997))]
-# object lanes: the first prime above 2^31, the primes on either side of
+LANE_LIMIT = math.isqrt(2**63 - 1)  # 3,037,000,499
+# int64 lanes at their limit: the ten primes in [L - 210, L], L =
+# LANE_LIMIT, = 1, 3, 5 and 7 (mod 8); the largest is 3037000493
+EDGE_PRIMES = [q for q in range(LANE_LIMIT - 210, LANE_LIMIT + 1)
+               if primality.is_prime(q)]
+# the scalar path: the first primes above L, the primes on either side of
 # 2^32 and the largest prime below the 2^40 sieve guard
-EDGE_PRIMES = [2147483659, 4294967291, 4294967311, 1099511627689]
-# one int64 batch and one object batch above 2^31: n^2+1 has no root mod
-# 2147483659 (3 mod 4), n^3+2 three roots mod 2147483869 and one mod
-# 2147483693 and 4294967291, and 6n^2+1 two mod 2147483713 (p - 1 = 2^6 d),
-# where its root reads a nonresidue and takes five Tonelli-Shanks steps
+PAST_LIMIT = [q for q in range(LANE_LIMIT + 1, LANE_LIMIT + 81)
+              if primality.is_prime(q)] + [4294967291, 4294967311,
+                                           1099511627689]
+# one batch of small primes and one at the lane limit: n^2+1 has no root
+# mod 3037000427 (3 mod 4), n^3+2 three roots mod 3037000399 and one mod
+# 3037000427 and 3037000493, and 6n^2+1 two mod 3035627521 (p - 1 = 2^20 d)
+# and 3036998401 (2^8 d), where its root reads a nonresidue and takes 19
+# and 7 Tonelli-Shanks steps
 FAULT_BATCHES = [PRIMES_TO_997[2:],
-                 [2147483659, 2147483693, 2147483713, 2147483869,
-                  4294967291]]
+                 [3035627521, 3036998401, 3037000399, 3037000427,
+                  3037000493]]
 
 
 def brute_force_roots(coeffs, p):
@@ -48,6 +56,17 @@ def brute_force_roots(coeffs, p):
 def brute_force_omega(coeffs, p):
     """Independent residue-scan oracle for the root count mod p."""
     return len(brute_force_roots(coeffs, p))
+
+
+def sympy_omega(coeffs, p):
+    """Independent oracle for the root count mod a large p: the degree of
+    the linear part of sympy's distinct-degree factorisation of f's
+    squarefree part; skips the test if sympy is missing."""
+    gf = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+    g = gf.gf_sqf_part(gf.gf_from_int_poly(coeffs[::-1], p), p, ZZ)
+    return sum(gf.gf_degree(h) for h, d in gf.gf_ddf_zassenhaus(g, p, ZZ)
+               if d == 1)
 
 
 def random_poly(rng, max_degree=4, bound=50):
@@ -132,26 +151,6 @@ def test_lane_kronecker_with_an_array_a_matches_kronecker():
     pairs = [(a, v) for a in avals for v in ms]
     a, m = (np.array(col, dtype=np.int64) for col in zip(*pairs))
     assert _lane_kronecker(a, m).tolist() == [kronecker(*ab) for ab in pairs]
-
-
-def test_lane_kronecker_on_object_arrays_matches_kronecker():
-    # Python-int lanes: a up to +-2^127, odd and even m up to 2^127, both
-    # as arrays paired every way and with one int a; the symbols are int64
-    rng = random.Random(19)
-    big = [2**31 + 11, 2**63 - 1, 2**64, 2**64 + 1, 3 * 2**100, 2**127 - 1,
-           2**127]
-    ms = list(range(1, 60)) + big + [rng.randrange(1, 2**127) >> k
-                                     for k in (0, 1, 2, 3) for _ in range(6)]
-    avals = list(range(-12, 12)) + [v for b in big for v in (b, -b, b - 1)] + \
-        [rng.randrange(-2**127, 2**127) for _ in range(24)]
-    pairs = [(a, v) for a in avals for v in ms]
-    a, m = (np.array(col, dtype=object) for col in zip(*pairs))
-    symbols = _lane_kronecker(a, m)
-    assert symbols.dtype == np.int64
-    assert symbols.tolist() == [kronecker(*ab) for ab in pairs]
-    for a in (-3, -(2**127), 2**127 - 1):
-        assert _lane_kronecker(a, np.array(ms, dtype=object)).tolist() == \
-            [kronecker(a, v) for v in ms]
 
 
 # ---------------------------------------------------------------------------
@@ -368,11 +367,13 @@ def test_sqrt_mod_rejects_composite_modulus():
     assert [sqrt_mod(a, 2) for a in (0, 1, 2, 3)] == [0, 1, 0, 1]
 
 
-# p = 1 (mod 8) primes that reach Tonelli-Shanks's hard cases: a large e in
-# p - 1 = 2^e d (27, 26 and 16) and a large least nonresidue z (59, 67 and
-# 71); the last two are object lanes above 2^31
+# primes = 1 (mod 8), but the last, that reach Tonelli-Shanks's hard cases:
+# a large e in p - 1 = 2^e d (27, 26 and 16) and a large least nonresidue z
+# (59, 67 and 71); two primes just above 2^31; and near the lane limit
+# e = 20, z = 59, and z = 67 at a p = 5 (mod 8)
 TONELLI_PRIMES = [2013265921, 469762049, 65537, 22000801, 48473881,
-                  175244281, 2147483713, 2147483777]
+                  175244281, 2147483713, 2147483777, 3035627521, 3011434969,
+                  3034622341]
 
 
 def test_sqrt_mod_equals_lane_sqrt():
@@ -409,23 +410,17 @@ def test_sqrt_mod_equals_lane_sqrt():
     for q in p[three].tolist()[:40]:
         assert all(sqrt_mod(x, q) == pow(x, (q + 1) // 4, q)
                    for x in range(1, q) if pow(x, (q - 1) // 2, q) == 1)
-    # Tonelli-Shanks's hard cases, in int64 lanes below 2^31 and the same
-    # primes again in object lanes; object lanes at primes = 1 and = 5
-    # (mod 8) just above 2^31 and the last edge prime (= 1 (mod 8)); int64
-    # lanes with e = 1 only, so _nonresidue gets an empty array, and
-    # object lanes with e = 1 and 2
-    for batch, dtype in ((TONELLI_PRIMES[:6], np.int64),
-                         (TONELLI_PRIMES, object),
-                         ([2147483693, 2147483813, EDGE_PRIMES[-1]], object),
-                         ([q for q in primes_up_to(10**4) if q % 4 == 3],
-                          np.int64),
-                         ([2147483659, 2147483693, 2147483813], object)):
+    # Tonelli-Shanks's hard cases; the primes at the lane limit, = 1, 3, 5
+    # and 7 (mod 8); and lanes with e = 1 only, so _nonresidue gets an
+    # empty array
+    for batch in (TONELLI_PRIMES, EDGE_PRIMES,
+                  [q for q in primes_up_to(10**4) if q % 4 == 3]):
         primes = [q for q in batch for _ in range(16)]
-        p = np.array(primes, dtype=np.int64).astype(dtype)
+        p = np.array(primes, dtype=np.int64)
         a = np.array([pow(rng.randrange(1, q), 2, q) for q in primes],
-                     dtype=p.dtype)
+                     dtype=np.int64)
         lanes = modular._lane_sqrt(a, p)
-        assert lanes.dtype == p.dtype
+        assert lanes.dtype == np.int64
         assert lanes.tolist() == [sqrt_mod(x, q) for x, q in
                                   zip(a.tolist(), primes)]
         found += zip(lanes.tolist(), a.tolist(), primes)
@@ -449,9 +444,9 @@ def test_sqrt_mod_reads_a_nonresidue_only_where_e_is_at_least_2(
     for q in [2] + three:
         for x in range(min(q, 50)):
             modular._sqrt_mod(x, q)
-    for p in (np.array(three), np.array(three + [2147483659], dtype=object)):
-        modular._lane_sqrt(p % p, p)
-        modular._lane_sqrt(np.ones_like(p), p)
+    p = np.array(three + [q for q in EDGE_PRIMES if q % 4 == 3])
+    modular._lane_sqrt(p % p, p)
+    modular._lane_sqrt(np.ones_like(p), p)
     assert read == []
     assert modular._nonresidue(np.array([], dtype=np.int64)).size == 0
     assert read == []
@@ -467,12 +462,11 @@ def test_nonresidue_is_the_least_odd_prime_nonresidue():
     p = np.array([q for q in primes_up_to(10**4) if q % 4 == 1]
                  + TONELLI_PRIMES, dtype=np.int64)
     z = modular._nonresidue(p).tolist()
-    assert z[-8:] == [11, 3, 3, 59, 67, 71, 5, 3]
+    assert z[-11:] == [11, 3, 3, 59, 67, 71, 5, 3, 7, 59, 67]
     for q, zq in zip(p.tolist(), z):
         assert pow(zq, (q - 1) // 2, q) == q - 1
         assert all(pow(r, (q - 1) // 2, q) == 1
                    for r in PRIMES_TO_997[1:] if r < zq)
-    assert modular._nonresidue(p.astype(object)).tolist() == z
     # (q|1) = 1 for every q, and (q|9) = 1 or 0, so no odd prime
     # qualifies; 9 - 1 = 2^3, so the scalar form reads the tables too
     with pytest.raises(ArithmeticError, match="nonresidue"):
@@ -517,7 +511,7 @@ def test_tabled_symbol_matches_kronecker(d, monkeypatch, fresh_jacobi_tables):
     coeffs = _quadratic_with_discriminant(d)
     assert coeffs[1] ** 2 - 4 * coeffs[0] * coeffs[2] == d
     for batch in ([q for q in primes_up_to(10**4) if q >= 5], EDGE_PRIMES):
-        p = modular._lane_array(np.array(batch, dtype=np.int64))
+        p = np.array(batch, dtype=np.int64)
         rest, lanes, _, split = modular._lane_split(
             coeffs, [c % p for c in coeffs], p)
         assert np.flatnonzero(rest).tolist() == \
@@ -537,9 +531,9 @@ def test_tabled_symbol_matches_kronecker(d, monkeypatch, fresh_jacobi_tables):
 def test_tabled_inverse_matches_pow(c):
     for batch in ([q for q in primes_up_to(10**4) if q >= 5 and c % q],
                   EDGE_PRIMES):
-        p = modular._lane_array(np.array(batch, dtype=np.int64))
+        p = np.array(batch, dtype=np.int64)
         inv = modular._lane_inverse(c, c % p, p)
-        assert inv.dtype == p.dtype
+        assert inv.dtype == np.int64
         assert inv.tolist() == [pow(c, -1, q) for q in batch]
 
 
@@ -609,19 +603,42 @@ def test_root_table_matches_list_roots_degree_3_to_8(text):
 @pytest.mark.parametrize("text", [
     "n^3+2", "n^7-n+7", "n^6+n^5+n^4+n^3+n^2+n+1",
     "9223372036854775807*n^8-9223372036854775807*n+9223372036854775806",
+    # reduced coefficients p - 1, so that the check acc * r + c reaches
+    # p^2 - p; three roots mod 3037000493, the largest lane prime
+    "n^3-n-1",
 ])
 def test_root_table_at_the_lane_limit(text):
-    # the last primes below 2^31, where lane products come closest to 2^63
+    # the last primes below L, where lane products come closest to 2^63
     f = parse_polynomial(text)
-    q = [2147483587, 2147483629, 2147483647]
-    [(p, r)] = _root_table([f], [np.array(q, dtype=np.int32)])
-    assert p.dtype == r.dtype == np.int32
+    [(p, r)] = _root_table([f], [np.array(EDGE_PRIMES, dtype=np.int64)])
+    assert p.dtype == r.dtype == np.int64
     assert list(zip(p.tolist(), r.tolist())) == \
-        [(v, root) for v in q for root in list_roots(f, v).roots]
+        [(v, root) for v in EDGE_PRIMES for root in list_roots(f, v).roots]
+
+
+@pytest.mark.parametrize("text", ["2*n+1", "6*n^2+1", "n^3-n-1"])
+def test_root_table_dtype_follows_the_largest_prime(text):
+    # int32 exactly when a batch's largest prime is below 2^31, whether the
+    # batch ends in the lanes or past them; one array across 2^31 and L
+    # gives the pairs of its parts taken one batch at a time
+    f = parse_polynomial(text)
+    parts = [PRIMES_TO_997[:30] + [2147483587, 2147483629, 2147483647],
+             [2147483659, 2147483693] + EDGE_PRIMES, PAST_LIMIT[:4]]
+    tables = [modular._batch_roots([f], np.array(b, dtype=np.int64))
+              for b in parts]
+    assert [(p.dtype, r.dtype) for p, r in tables] == \
+        [(np.int32, np.int32)] + [(np.int64, np.int64)] * 2
+    straddle = parts[0][-3:] + parts[1][:2]
+    p, r = modular._batch_roots([f], np.array(straddle, dtype=np.int64))
+    assert p.dtype == r.dtype == np.int64
+    [(p, r)] = _root_table([f], [np.array(sum(parts, []), dtype=np.int64)])
+    assert p.dtype == r.dtype == np.int64
+    assert p.tolist() == [v for t in tables for v in t[0].tolist()]
+    assert r.tolist() == [v for t in tables for v in t[1].tolist()]
 
 
 def test_root_table_prime_above_2_31():
-    q = 2147483659  # the first prime above 2^31: int64 lanes would overflow
+    q = 2147483659  # the first prime above 2^31: int64 lanes, int64 table
     for text in ("2*n+1", "n^2+2", "n^2+n+41", "n^2+1", "n^3+2"):
         f = parse_polynomial(text)
         [(p, r)] = _root_table([f], [np.array([q])])
@@ -631,22 +648,29 @@ def test_root_table_prime_above_2_31():
 
 
 @pytest.mark.parametrize("text", [
-    "2*n+1", "n^2+1", "6*n^2+1", "n^3+2",
+    "2*n+1", "n^2+1", "6*n^2+1", "n^3+2", "n^3-n-1",
     "9223372036854775807*n^8-9223372036854775807*n+9223372036854775806",
     "2147483659*n^2+1",  # 2147483659 divides the lead: the scalar path
 ])
 def test_root_table_and_counts_past_the_lane_limit(text):
+    # past L, the table and list_roots share the scalar path, so each root
+    # is checked by f(r) = 0 (mod p) and each count against sympy's
+    # factorisation; 2147483659 is a lane prime, except where it divides
+    # the lead
     f = parse_polynomial(text)
-    p = np.array(EDGE_PRIMES, dtype=np.int64)
+    batch = [2147483659] + PAST_LIMIT
+    p = np.array(batch, dtype=np.int64)
     [(q, r)] = _root_table([f], [p])
     assert q.dtype == r.dtype == np.int64
     assert list(zip(q.tolist(), r.tolist())) == \
-        [(v, root) for v in EDGE_PRIMES for root in list_roots(f, v).roots]
+        [(v, root) for v in batch for root in list_roots(f, v).roots]
     assert all(sum(c * pow(root, k, v) for k, c in enumerate(f.coeffs)) % v
                == 0 for v, root in zip(q.tolist(), r.tolist()))
     omega = modular._root_counts(f, p)
     assert omega.dtype == np.int64
-    assert omega.tolist() == [_root_count(f, v) for v in EDGE_PRIMES]
+    assert omega.tolist() == [_root_count(f, v) for v in batch] == \
+        np.bincount(np.searchsorted(p, q), minlength=p.size).tolist()
+    assert omega.tolist() == [sympy_omega(f.coeffs, v) for v in batch]
 
 
 # ---------------------------------------------------------------------------
@@ -672,24 +696,25 @@ def test_root_table_and_counts_past_the_lane_limit(text):
 ])
 def test_root_counts_match_root_count(text, monkeypatch):
     f = parse_polynomial(text)
-    lane_array = modular._lane_array
-    dtypes = []
-
-    def recording_lane_array(p):
-        lanes = lane_array(p)
-        dtypes.append(lanes.dtype)
-        return lanes
-
-    monkeypatch.setattr(modular, "_lane_array", recording_lane_array)
-    # 2 and 3, the small primes that divide 2aD and the last primes below
-    # 2^31 on int64 lanes; 2147483659, the first above it, on object lanes
-    for batch in (PRIMES_TO_997 + [2147483587, 2147483629, 2147483647],
-                  [2147483659]):
+    root_count = modular._root_count
+    scalar = []
+    monkeypatch.setattr(modular, "_root_count",
+                        lambda f, q: scalar.append(q) or root_count(f, q))
+    # int64 lanes up to L = isqrt(2^63 - 1), both sides of 2^31 and the
+    # last primes below L; the scalar path at 2 and 3, at the primes that
+    # divide the lead or, for degree 2, D, and past L
+    assert modular._LANE_LIMIT == LANE_LIMIT
+    for batch in (PRIMES_TO_997 + [2147483587, 2147483629, 2147483647,
+                                   2147483659] + EDGE_PRIMES, PAST_LIMIT):
         p = np.array(batch, dtype=np.int64)
         omega = modular._root_counts(f, p)
         assert omega.dtype == np.int64
         assert omega.tolist() == [_root_count(f, q) for q in batch]
-    assert dtypes == [np.int64, object]
+    lead = f.coeffs[-1]
+    disc = f.coeffs[1] ** 2 - 4 * f.coeffs[0] * lead if f.degree == 2 else 0
+    assert set(PAST_LIMIT) <= set(scalar)
+    assert all(q <= 3 or q > LANE_LIMIT or lead % q == 0 or
+               (f.degree == 2 and disc % q == 0) for q in scalar)
 
 
 def test_root_counts_raise_when_legendre_symbol_fails(monkeypatch,
@@ -804,10 +829,10 @@ def test_lane_split_against_brute_force_and_list_roots(text):
         [(q, root) for q in primes_up_to(2 * 10**4)
          for root in brute_force_roots(f.coeffs, q)]
     assert max(np.bincount(p)) == f.degree  # some lanes split all the way
-    # object lanes, where list_roots, which no longer shares the lane
+    # lanes at the limit, where list_roots, which does not share the lane
     # split, is the oracle; every f but the last splits completely mod
-    # 2147506201
-    for batch in (EDGE_PRIMES, sorted(FAULT_BATCHES[1] + [2147506201])):
+    # 3037000177
+    for batch in (EDGE_PRIMES, sorted(FAULT_BATCHES[1] + [3037000177])):
         [(p, r)] = _root_table([f], [np.array(batch, dtype=np.int64)])
         assert list(zip(p.tolist(), r.tolist())) == \
             [(v, root) for v in batch for root in list_roots(f, v).roots]
