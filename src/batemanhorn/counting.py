@@ -14,10 +14,12 @@ evaluation per f_i: in int64 lanes where Horner is exact for the block,
 that is when sum_i |c_i| m^i < 2^63 for every f_i at the block's last n =
 m, and past that limit in object arrays of Python ints.  One rule then
 runs f_1 on every n, f_2 on the n that pass, and so on: a value below 2
-fails, one in [2, (B+1)^2) passes, and every other value is tested by its
-own size, in numpy lanes by primality._lane_bpsw below
-primality.LANE_BPSW_LIMIT (floor(2^64 / 3), about 6.1e18, with an x87
-long double), else one at a time by classify, behind the 128-bit guard.
+fails, one in [2, (B+1)^2) passes, and every other value is tested in
+numpy lanes, one primality._lane_bpsw call per f_i and block: on
+long-double products below primality.LANE_BPSW_LIMIT (floor(2^64 / 3),
+about 6.1e18, with an x87 long double) and on products of 28-bit limbs
+from there to 2^127, behind the 128-bit guard.  classify tests no
+survivor.
 B = min(presieve_bound, isqrt(max_i f_i(x)) + 1): a larger bound would mark
 no composite value that a smaller prime misses.
 
@@ -32,12 +34,14 @@ numpy 2.4, in-process, as the range of 3-7 runs: degrees 1 and 2 are
 solved in numpy lanes at 0.7-0.9 us a prime, as (D|p) and small inverses
 are read from tables.  A cubic's table costs 7-8 us a prime (n^3+2 at
 B = 10^5), as g_1 = gcd(x^p - x, f) and its split both run in lanes.  A
-Baillie-PSW test of a prime value costs 3.3-4.7 us in blocks of 4096 lanes
-from 6e12 to 6.1e18, against 25-49 us one at a time there and about 40 us
-from 6.1e18 to past 2^64, beyond the lanes.  So when every f_i has degree
-<= 2, B is capped only at 2^25: the table of 6n^2+1 over its 2,063,689
-primes costs 1.35-1.8 s and 16.5 MB, and the cap covers the full bound of
-`reproduce 2 --cap 1e7` (isqrt(6e14) + 1 = 24,494,898), which then runs
+Baillie-PSW test of a prime value in blocks of 4096 lanes costs 5.6-8.6
+us from 6e12 to 6.1e18, 11-17 us on limbs from there to 2^80 and 40-50 us
+near 2^127, against 49-82 us up to 2^80 and 126-217 us near 2^127 one at
+a time in classify, in the same runs (on a slower day than the table
+figures).  So when every f_i has degree <= 2, B is capped only at 2^25:
+the table of 6n^2+1 over its 2,063,689 primes costs 1.35-1.8 s and
+16.5 MB, and the cap covers the full bound of `reproduce 2 --cap 1e7`
+(isqrt(6e14) + 1 = 24,494,898), which then runs
 no primality test past n_star.  Otherwise the cap stays 1e5.  An explicit
 presieve_bound is an upper limit as before.
 
@@ -191,8 +195,8 @@ def _process_chunk_state(state, bounds: tuple[int, int]
     when sum_i |c_i| m^i < 2^63 for every f_i at the block's last n = m and
     as Python ints otherwise.  Each n fails at its first value below 2 or
     found composite, in the system's order; only values >= (B+1)^2 are
-    tested, by _lane_bpsw below its limit and by classify above it, where
-    a value past 2^127 - 1 raises once the n's loop reaches it.
+    tested, one _lane_bpsw call per f_i and block.  Before each call, the
+    first n whose tested value passes 2^127 - 1 raises.
     Returns the qualified n, ascending (8 bytes each in an int64 array,
     not a list of ints), and the first of them that a probable verdict
     admitted (None if none did).
@@ -215,17 +219,13 @@ def _process_chunk_state(state, bounds: tuple[int, int]
         for row in values:
             keep &= row >= 2
             tested = keep & (row >= proved)
-            lanes = tested & (row < primality.LANE_BPSW_LIMIT)
-            if lanes.any():
-                keep[lanes] = primality._lane_bpsw(row[lanes])
-            for j in np.flatnonzero(tested & ~lanes).tolist():
-                v = int(row[j])
-                if v > I128_MAX:
-                    raise RangeOverflowError(
-                        f"value at n={n[j]} leaves the signed 128-bit range")
-                verdict = primality.classify(v)
-                keep[j] = verdict.prime
-                uncertain[j] |= verdict.certainty == primality.PROBABLE
+            over = np.flatnonzero(tested & (row > I128_MAX))
+            if over.size:
+                raise RangeOverflowError(
+                    f"value at n={n[over[0]]} leaves the signed 128-bit range")
+            if tested.any():
+                keep[tested] = primality._lane_bpsw(row[tested])
+                uncertain |= tested & (row >= primality.U64)
         qualified.frombytes(n[keep].tobytes())
         first = np.flatnonzero(keep & uncertain)
         if probable is None and first.size:

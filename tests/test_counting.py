@@ -299,8 +299,8 @@ def test_proof_bound_is_strict(segment_size):
 
 
 def test_classify_never_called_beyond_n_star(monkeypatch):
-    # Both paths are watched: classify one value at a time, _lane_bpsw an
-    # int64 block of them.
+    # Both entry points are watched, classify for one value and _lane_bpsw
+    # for a block, though the kernel tests every value in lanes.
     seen = []
     classify, lane_bpsw = primality.classify, primality._lane_bpsw
 
@@ -456,8 +456,9 @@ LANE_EDGES = [(("n^3+2",), 1832031), (("6*n^2+1",), 1012333499)]
 @pytest.mark.parametrize("texts,edge", LANE_EDGES)
 def test_triage_matches_brute_force_at_the_lane_limit(monkeypatch, texts,
                                                       edge):
-    # One survivor block straddles the limit: each of its tested values
-    # goes to _lane_bpsw below the limit and to classify at or above it.
+    # One survivor block straddles the limit: each row of its tested
+    # values goes to _lane_bpsw at once, the values at or above the limit
+    # reach the limb product, and the kernel never calls classify.
     s = system(*texts)
     f = s.polys[0]
     assert evaluate(f, edge) < LANE_LIMIT <= evaluate(f, edge + 1)
@@ -468,26 +469,60 @@ def test_triage_matches_brute_force_at_the_lane_limit(monkeypatch, texts,
                   if evaluate(f, int(b[0])) < LANE_LIMIT
                   <= evaluate(f, int(b[-1]))]
     assert len(straddling) == 1
-    below = {v for v in (evaluate(f, n) for n in straddling[0].tolist())
-             if (state[2] + 1) ** 2 <= v < LANE_LIMIT}
+    tested = [v for v in (evaluate(f, n) for n in straddling[0].tolist())
+              if v >= (state[2] + 1) ** 2]
     expected = brute_force_chunk(s, lo, hi)
-    laned, classified = [], []
-    lane_bpsw, classify = primality._lane_bpsw, primality.classify
+    laned, limbed = [], []
+    lane_bpsw, limb_bpsw = primality._lane_bpsw, primality._limb_bpsw
 
     def lane_spy(v):
         laned.extend(v.tolist())
         return lane_bpsw(v)
 
+    def limb_spy(v):
+        limbed.extend(v.tolist())
+        return limb_bpsw(v)
+
     def classify_spy(v):
-        classified.append(v)
-        return classify(v)
+        raise AssertionError(f"the kernel called classify({v})")
 
     monkeypatch.setattr(primality, "_lane_bpsw", lane_spy)
+    monkeypatch.setattr(primality, "_limb_bpsw", limb_spy)
     monkeypatch.setattr(primality, "classify", classify_spy)
     assert kernel_chunk(state, lo, hi) == expected
-    assert laned and max(laned) < LANE_LIMIT
-    assert below and below <= set(laned)
-    assert classified and min(classified) >= LANE_LIMIT
+    assert set(tested) <= set(laned)
+    assert limbed and min(limbed) >= LANE_LIMIT
+    assert {v for v in tested if v >= LANE_LIMIT} <= set(limbed)
+    assert {v for v in tested if v < LANE_LIMIT}.isdisjoint(limbed)
+
+
+def test_lanes_with_the_limit_of_a_double(monkeypatch):
+    # Where long double is a double, LANE_BPSW_LIMIT is 2^51 and the limb
+    # product takes every value from there up.  _lane_bpsw reads the limit
+    # at each call, so patching it runs that split here.  n^3 + 2 passes
+    # 2^51 past n = 2^17 - 1, inside one survivor block.
+    monkeypatch.setattr(primality, "LANE_BPSW_LIMIT", 2**51)
+    values = list(range(2**51 - 3000, 2**51 + 3000))
+    rng = random.Random(51)
+    values += [rng.randrange(2**51, 2**63) for _ in range(3000)]
+    assert primality._lane_bpsw(np.array(values)).tolist() == \
+        [primality.classify(v).prime for v in values]
+    s = system("n^3+2")
+    state = kernel_state(s, 10**5)
+    lo, hi = 2**17 - 2**12, 2**17 + 2**12
+    assert evaluate(s.polys[0], lo) < 2**51 < evaluate(s.polys[0], hi)
+    assert len(triage_blocks(state, lo, hi)) == 1
+    expected = brute_force_chunk(s, lo, hi)
+    limbed = []
+    limb_bpsw = primality._limb_bpsw
+
+    def limb_spy(v):
+        limbed.extend(v.tolist())
+        return limb_bpsw(v)
+
+    monkeypatch.setattr(primality, "_limb_bpsw", limb_spy)
+    assert kernel_chunk(state, lo, hi) == expected
+    assert limbed and min(limbed) >= 2**51
 
 
 def test_triage_matches_brute_force_across_the_cubic_int64_limit():

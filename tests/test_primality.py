@@ -277,7 +277,7 @@ def test_large_mersenne_values():
 
 
 # ---------------------------------------------------------------------------
-# Baillie-PSW in int64 lanes
+# Baillie-PSW in numpy lanes
 # ---------------------------------------------------------------------------
 
 LANE_LIMIT = primality.LANE_BPSW_LIMIT
@@ -288,13 +288,31 @@ CHERNICK_K = (1025, 20071, 90096, 130076, 152806, 153205, 157866, 167810)
 CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341,
               41041, 46657, 52633, 62745, 63973,
               *((6 * k + 1) * (12 * k + 1) * (18 * k + 1) for k in CHERNICK_K))
+# (4^p + 1) / 5 is a strong pseudoprime to base 2 at these primes p; 72 to
+# 120 bits.
+STRONG_PSEUDOPRIMES_PAST_2_64 = tuple((4**p + 1) // 5
+                                      for p in (37, 41, 43, 47, 53, 59, 61))
+# Chernick's k whose Carmichael numbers lie just below and just above 2^64,
+# at 110 bits and at 127 bits.
+CHERNICK_K_PAST_THE_LIMIT = (241821, 241920, 242160, 242396, 242420, 242475,
+                             8589935965, 8589936075, 500000001231,
+                             500000005021)
+# Primes k 2^s + 1 and k 2^s - 1 past the limit, so that n - 1 or n + 1
+# has s = 28 to 100 trailing zero bits: at a limb's edge and past the
+# first 64-bit word.
+TWO_ADIC_PRIMES = tuple(k * 2**s + e for s, e, k in (
+    (28, 1, 22906492273), (28, -1, 22906492257), (56, 1, 87), (56, -1, 129),
+    (63, 1, 9), (63, -1, 9), (64, 1, 25), (64, -1, 3), (65, 1, 9),
+    (65, -1, 67), (100, 1, 165), (100, -1, 77)))
 
 
 def assert_lane_bpsw_matches(values):
-    """_lane_bpsw on values as one int64 block against classify, and
-    against sympy.isprime when sympy is installed."""
-    values = [v for v in values if v < LANE_LIMIT]
-    got = primality._lane_bpsw(np.array(values, dtype=np.int64))
+    """_lane_bpsw on values as one block, int64 below 2^63 and object
+    from there, against classify, and against sympy.isprime when sympy is
+    installed."""
+    values = list(values)
+    dtype = np.int64 if max(values, default=0) < 2**63 else object
+    got = primality._lane_bpsw(np.array(values, dtype=dtype))
     assert got.dtype == bool and got.shape == (len(values),)
     expected = [classify(v).prime for v in values]
     assert [v for v, g, e in zip(values, got.tolist(), expected)
@@ -309,12 +327,14 @@ def assert_lane_bpsw_matches(values):
 
 def test_lane_bpsw_limit():
     # floor(2^64 / 3) where the long double has a 64-bit significand (x87),
-    # 2^51 where it is a double; 2^63 - 1 is above either
+    # 2^51 where it is a double; the limb products take every value from
+    # there up to 2^127 - 1, and 2^127 raises
     nmant = np.finfo(np.longdouble).nmant
     assert LANE_LIMIT == (2**64 // 3 if nmant >= 63 else 2 ** (nmant - 1))
-    for v in (LANE_LIMIT, 2**63 - 1):
-        with pytest.raises(ValueError, match="LANE_BPSW_LIMIT"):
-            primality._lane_bpsw(np.array([5, v], dtype=np.int64))
+    assert_lane_bpsw_matches([5, LANE_LIMIT, 2**63 - 25, 2**63 - 1])
+    assert_lane_bpsw_matches([5, 2**127 - 1])
+    with pytest.raises(ValueError, match="2\\^127"):
+        primality._lane_bpsw(np.array([5, 2**127], dtype=object))
 
 
 def test_lane_bpsw_below_2_16():
@@ -354,11 +374,12 @@ def test_lane_bpsw_pseudoprimes_and_squares():
 
 
 def test_lane_bpsw_mixed_bit_lengths_and_empty():
-    # bit lengths 6 to 62 in one block, with the largest prime of each
-    # length next to a random value
+    # bit lengths 6 to 127 in one block, long-double and limb lanes
+    # together, with the largest prime of each length next to a random
+    # value
     rng = random.Random(6)
     values = []
-    for bits in range(6, LANE_LIMIT.bit_length()):
+    for bits in range(6, 128):
         p = 2**bits - 1
         while not is_prime(p):
             p -= 2
@@ -383,7 +404,8 @@ def test_lane_mod_on_constructed_remainders():
         assert got.tolist() == [r % n for r in rs]
 
 
-# An operand left outside [0, n) shows as an invalid cast in _lane_mul.
+# An operand left outside [0, n) shows as an invalid cast in
+# _FloatLanes.mul.
 @pytest.mark.filterwarnings("error")
 def test_lane_strong_lucas_matches_the_scalar_test():
     # without the Miller-Rabin round in front, the Lucas lanes meet every
@@ -393,9 +415,158 @@ def test_lane_strong_lucas_matches_the_scalar_test():
     rng = random.Random(1093)
     values = list(range(39, 2**16, 2)) + [27869, 154697, 348611, 852389] \
         + [rng.randrange(2**40, LANE_LIMIT) | 1 for _ in range(5000)]
-    got = primality._lane_strong_lucas(np.array(values, dtype=np.int64))
+    lanes = primality._FloatLanes(np.array(values, dtype=np.int64))
+    got = primality._lane_strong_lucas(lanes)
     assert [v for v, g in zip(values, got.tolist())
             if g != _strong_lucas(v)] == []
+    # the limb products, from the limit to 2^127, with squares of primes
+    # near 2^32 and 2^63 and STRONG_PSEUDOPRIMES_PAST_2_64
+    values = [rng.randrange(LANE_LIMIT, 2 ** rng.randrange(63, 128)) | 1
+              for _ in range(3000)]
+    values += [p * p for p in (2**32 + 15, 2**63 - 25)] \
+        + list(STRONG_PSEUDOPRIMES_PAST_2_64)
+    got = primality._lane_strong_lucas(
+        primality._LimbLanes(np.array(values, dtype=object)))
+    assert [v for v, g in zip(values, got.tolist())
+            if g != _strong_lucas(v)] == []
+
+
+def largest_prime_below(x):
+    p = x - 1 if x % 2 == 0 else x - 2
+    while not is_prime(p):
+        p -= 2
+    return p
+
+
+def test_limb_lanes_match_classify_past_the_limit(monkeypatch):
+    # the largest prime of each bit length from 63 to 127, 2^64 - 59 (the
+    # largest prime below 2^64), 2^64 + 13 (the least above), 2^127 - 1,
+    # TWO_ADIC_PRIMES, Carmichael numbers, base-2 strong pseudoprimes,
+    # squares of primes near 2^32 and 2^63, values past 2^64 whose least
+    # prime factor lies in (37, 1000), which trial division keeps from the
+    # ladders, and random values of every bit length, also one block per
+    # bit length, so that each block takes its own least k
+    assert all(is_prime(p) for p in TWO_ADIC_PRIMES)
+    for k in CHERNICK_K_PAST_THE_LIMIT:
+        assert all(is_prime(f) for f in (6 * k + 1, 12 * k + 1, 18 * k + 1))
+    carmichael = [(6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+                  for k in CHERNICK_K_PAST_THE_LIMIT]
+    assert all(_miller_rabin(v, (2,)) for v in STRONG_PSEUDOPRIMES_PAST_2_64)
+    primes = [largest_prime_below(2**bits) for bits in range(63, 128)]
+    near = [largest_prime_below(2**32), 2**32 + 15, 2**63 - 25, 2**63 + 29]
+    assert all(is_prime(p) for p in near)
+    factored = [p * largest_prime_below(2**bits // p + 2**20)
+                for p in (41, 43, 503, 997) for bits in (65, 90, 126)]
+    composites = carmichael + list(STRONG_PSEUDOPRIMES_PAST_2_64) \
+        + [p * p for p in near] + factored
+    assert all(LANE_LIMIT <= v < 2**127 for v in composites + primes)
+    laddered = []
+    miller_rabin = primality._lane_miller_rabin_2
+
+    def spy(lanes):
+        laddered.extend(lanes.vals.tolist())
+        return miller_rabin(lanes)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(primality, "_lane_miller_rabin_2", spy)
+        got = primality._lane_bpsw(np.array(composites, dtype=object))
+    assert not got.any()
+    assert laddered and not set(factored) & set(laddered)
+    rng = random.Random(64)
+    randoms = [rng.randrange(LANE_LIMIT, 2 ** rng.randrange(63, 128))
+               for _ in range(2000)]
+    assert_lane_bpsw_matches(primes + [2**64 - 59, 2**64 + 13, 2**127 - 1]
+                             + list(TWO_ADIC_PRIMES) + composites + randoms)
+    for bits in range(63, 128):
+        block = [largest_prime_below(2**bits)] \
+            + [rng.randrange(2 ** (bits - 1), 2**bits) for _ in range(15)]
+        assert_lane_bpsw_matches([v for v in block if v >= LANE_LIMIT])
+
+
+def test_lane_miller_rabin_matches_the_scalar_test():
+    # both products against _miller_rabin(v, (2,)), with base-2 strong
+    # pseudoprimes and values k 2^s + 1 whose n - 1 has up to 100 trailing
+    # zero bits
+    rng = random.Random(2)
+    low = list(range(39, 2**14, 2)) \
+        + [psi for psi, _ in STRONG_PSEUDOPRIME_EDGES if psi < LANE_LIMIT] \
+        + [rng.randrange(2**40, LANE_LIMIT) | 1 for _ in range(2000)]
+    high = [rng.randrange(LANE_LIMIT, 2 ** rng.randrange(63, 128)) | 1
+            for _ in range(2000)] + list(STRONG_PSEUDOPRIMES_PAST_2_64) \
+        + [k * 2**s + 1 for s in (63, 64, 65, 100) for k in range(1, 40, 2)]
+    for lanes, values in (
+            (primality._FloatLanes(np.array(low, dtype=np.int64)), low),
+            (primality._LimbLanes(np.array(high, dtype=object)), high)):
+        got = primality._lane_miller_rabin_2(lanes)
+        assert [v for v, g in zip(values, got.tolist())
+                if g != _miller_rabin(v, (2,))] == []
+
+
+def limbs(values, k):
+    return np.array([[(v >> (28 * j)) & (2**28 - 1) for v in values]
+                     for j in range(k)], dtype=np.int64)
+
+
+def limb_values(x):
+    return [sum(limb << (28 * j) for j, limb in enumerate(lane))
+            for lane in x.T.tolist()]
+
+
+def test_limb_product_on_constructed_extremes():
+    # REDC against a b / R mod n, for k = 2 to 5: n just under R / 16
+    # (every limb 2^28 - 1 but the top), or under 2^127 at k = 5, and a
+    # random n; inputs from 0 to 4n - 1, one of them every limb 2^28 - 1
+    # below the top, also given lazily as the sum of two values below 2n
+    # (limbs up to 2^29 - 2)
+    rng = random.Random(28)
+    for k in range(2, 6):
+        R = 2 ** (28 * k)
+        top = min(R // 16, 2**127)
+        for n in (top - 1, top - 3, rng.randrange(top // 2, top) | 1):
+            inputs = [0, 1, 2**(28 * (k - 1)) - 1, n - 1, n, 2 * n - 1,
+                      4 * n - 2, 4 * n - 1, rng.randrange(4 * n)]
+            pairs = [(a, b) for a in inputs for b in inputs]
+            lanes = primality._LimbLanes(np.array([n] * len(pairs), dtype=object))
+            assert lanes.k == k and lanes.R == R
+            if k < 5:  # the least k with 16 n < R
+                n_plus = np.array([R // 16 + 1], dtype=object)
+                assert primality._LimbLanes(n_plus).k == k + 1
+            a, b = (limbs(list(col), k) for col in zip(*pairs))
+            got = lanes.mul(a, b)
+            assert got.min() >= 0 and got.max() < 2**28
+            values = limb_values(got)
+            assert all(v < 2 * n for v in values)
+            assert [v % n for v in values] == \
+                [a * b * pow(R, -1, n) % n for a, b in pairs]
+            # the lazy sum: limbs above 2^28
+            h = limbs([2 * n - 1] * len(pairs), k)
+            lazy = lanes.add(h, h)
+            assert lazy.max() >= 2**28
+            got = lanes.canon(lanes.mul(lazy, lazy))
+            assert limb_values(got) == \
+                [(4 * n - 2) ** 2 * pow(R, -1, n) % n] * len(pairs)
+            assert limb_values(lanes.canon(a)) == [a % n for a, _ in pairs]
+
+
+def test_limb_residues_near_2_127():
+    # x mod m from limbs, for every m the lanes take (Jacobi table sizes,
+    # |Q|, up to 2^31 - 1), and the divisibility test of trial division
+    rng = random.Random(127)
+    values = [2**127 - 1 - i for i in range(64)] \
+        + [rng.randrange(2**126, 2**127) for _ in range(300)] \
+        + [2**64 - 59, 2**64 + 13, LANE_LIMIT]
+    values += [v - v % p for v in values[:50] for p in (3, 37, 41, 997)]
+    x = limbs(values, 5)
+    words = primality._words(np.array(values, dtype=object))
+    assert primality._limbs(words, 5).tolist() == x.tolist()
+    assert primality._limb_words(x).tolist() == words.tolist()
+    for m in (1, 2, 3, 5, 20, 28, 44, 1000, 33263, 223092870, 2**31 - 1):
+        assert primality._limb_residue(x, m).tolist() == \
+            [v % m for v in values], m
+    trial = primality._TRIAL_PRIMES
+    for ps in (trial[1:12], trial[12:], trial[12:20], trial[-3:]):
+        assert primality._limb_divisible(x, ps).tolist() == \
+            [any(v % p == 0 for p in ps) for v in values]
 
 
 def test_jacobi_table_period_matches_kronecker():
